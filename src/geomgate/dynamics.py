@@ -6,9 +6,11 @@ The master equation integrated here is
 
 with L(A)ρ = 2AρA† - A†Aρ - ρA†A.  The sign convention i[ρ, H] equals the
 standard -i[H, ρ].  Propagation is fixed-step classical 4th-order (RK4) on
-the full density matrix; the dissipator is applied through precomputed index
-masks rather than superoperator matrices, which keeps the per-step cost at a
-single dense matrix product plus elementwise work.
+the full density matrix.  The dissipator is applied in place through an
+elementwise mask and strided views of ρ rather than superoperator matrices
+or index gathers, and every RK4 stage writes into buffers allocated once per
+run, so a right-hand side costs a single dense matrix product plus
+elementwise passes.
 """
 
 from __future__ import annotations
@@ -139,12 +141,13 @@ class EvolutionResult:
 
 
 class _Dissipator:
-    """Precomputed index machinery applying the Lindblad dissipator in place.
+    """Precomputed mask and views applying the Lindblad dissipator in place.
 
     Exploits the fixed layout i = q·d + n: the anticommutator of the (diagonal)
     decay generators and the full dephasing channel collapse into one real
-    elementwise mask, qubit decay jumps into index-block adds, and the cavity
-    jump into a shifted, √n-weighted block of the reshaped matrix.
+    elementwise mask.  The jump σ_j⁻ρσ_j⁺ of qubit j is an add between two
+    blocks of ρ viewed with shape (2^(j-1), 2, 2^(N-j)·d) on each axis, and the
+    cavity jump is a shifted, √n-weighted block of ρ viewed as (2^N, d, 2^N, d).
     """
 
     def __init__(self, rates: DecoherenceRates, space: HilbertSpace) -> None:
@@ -159,7 +162,7 @@ class _Dissipator:
         # anticommutator diagonal: (κ/2)a†a + (γ₁/2)Σ_j |1⟩⟨1|_j
         mdiag = 0.5 * rates.kappa * fock.astype(float)
         dephase = np.zeros((dim, dim))
-        self._qubit_jumps: list[tuple[tuple, tuple]] = []
+        self._jump_shapes: list[tuple[int, ...]] = []
         for j in range(1, nq + 1):
             bit = (idx // d >> (nq - j)) & 1
             mdiag = mdiag + 0.5 * rates.gamma1 * bit
@@ -167,11 +170,11 @@ class _Dissipator:
                 sz = 1.0 - 2.0 * bit
                 dephase += rates.gamma2 * (np.outer(sz, sz) - 1.0)
             if rates.gamma1 > 0:
-                src = np.nonzero(bit)[0]
-                dst = src - d * 2 ** (nq - j)
-                self._qubit_jumps.append((np.ix_(dst, dst), np.ix_(src, src)))
+                axis = (2 ** (j - 1), 2, 2 ** (nq - j) * d)
+                self._jump_shapes.append(axis + axis)
         # fused mask: dephasing jump+anticommutator and decay anticommutators
         self._mask = dephase - (mdiag[:, None] + mdiag[None, :])
+        self._masked = np.empty((dim, dim), dtype=complex)
         self._cavity_jump = rates.kappa > 0 and d >= 2
         if self._cavity_jump:
             w = np.sqrt(np.arange(1.0, d))
@@ -180,23 +183,30 @@ class _Dissipator:
     def add_to(self, out: np.ndarray, rho: np.ndarray) -> None:
         if not self.active:
             return
-        out += self._mask * rho
+        out += np.multiply(self._mask, rho, out=self._masked)
         g1 = self.rates.gamma1
-        for dst, src in self._qubit_jumps:
-            out[dst] += g1 * rho[src]
+        for shape in self._jump_shapes:
+            o6 = out.reshape(shape)
+            r6 = rho.reshape(shape)
+            o6[:, 0, :, :, 0, :] += g1 * r6[:, 1, :, :, 1, :]
         if self._cavity_jump:
             o4 = out.reshape(self._shape4)
             r4 = rho.reshape(self._shape4)
             o4[:, :-1, :, :-1] += self._cavity_weights[None, :, None, :] * r4[:, 1:, :, 1:]
 
 
-def _rhs(h: np.ndarray | None, rho: np.ndarray, diss: _Dissipator) -> np.ndarray:
+def _rhs(
+    h: np.ndarray | None, rho: np.ndarray, diss: _Dissipator, out: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """Write dρ/dt into ``out``, using ``work`` for the product Hρ; both C-ordered."""
     if h is None:
-        out = np.zeros_like(rho)
+        out.fill(0.0)
     else:
         # Hρ - ρH = C - C† for Hermitian H, ρ: one matrix product, not two
-        c = h @ rho
-        out = -1j * (c - c.conj().T)
+        c = np.matmul(h, rho, out=work)
+        np.conjugate(c.T, out=out)
+        np.subtract(c, out, out=out)
+        out *= -1j
     diss.add_to(out, rho)
     return out
 
@@ -277,7 +287,10 @@ def evolve_lindblad(
     dt = cfg.dt_effective
     stride = cfg.record_stride
 
-    rho = np.array(initial.rho, dtype=complex)
+    # C order: the dissipator writes through reshaped views of each stage
+    rho = np.array(initial.rho, dtype=complex, order="C")
+    # RK4 stages, the stage state and the Hρ / ρ† scratch, reused every step
+    k1, k2, k3, k4, stage, work = (np.empty_like(rho) for _ in range(6))
     times: list[float] = []
     fids: list[float] = []
     traces: list[float] = []
@@ -301,21 +314,34 @@ def evolve_lindblad(
             positivity.append((t, float(np.linalg.eigvalsh(rho)[0])))
 
     record(0.0)
+    half_dt = 0.5 * dt
     for step in range(1, n_steps + 1):
         t0 = (step - 1) * dt
         h0 = h(t0) if h else None
-        hm = h(t0 + 0.5 * dt) if h else None
+        hm = h(t0 + half_dt) if h else None
         h1 = h(t0 + dt) if h else None
-        k1 = _rhs(h0, rho, diss)
-        k2 = _rhs(hm, rho + (0.5 * dt) * k1, diss)
-        k3 = _rhs(hm, rho + (0.5 * dt) * k2, diss)
-        k4 = _rhs(h1, rho + dt * k3, diss)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        _rhs(h0, rho, diss, k1, work)
+        np.add(rho, np.multiply(k1, half_dt, out=stage), out=stage)
+        _rhs(hm, stage, diss, k2, work)
+        np.add(rho, np.multiply(k2, half_dt, out=stage), out=stage)
+        _rhs(hm, stage, diss, k3, work)
+        np.add(rho, np.multiply(k3, dt, out=stage), out=stage)
+        _rhs(h1, stage, diss, k4, work)
+        # rho + (dt/6)·(k1 + 2·(k2 + k3) + k4), accumulated in k1
+        np.add(k2, k3, out=k2)
+        k2 *= 2.0
+        k1 += k2
+        k1 += k4
+        k1 *= dt / 6.0
+        rho += k1
+        rho_h = np.conjugate(rho.T, out=work)
         recording = step % stride == 0 or step == n_steps
         if recording:
-            herm_drift = max(herm_drift, float(np.abs(rho - rho.conj().T).max()))
+            drift = np.abs(np.subtract(rho, rho_h, out=stage)).max()
+            herm_drift = max(herm_drift, float(drift))
         # re-symmetrize every step: keeps roundoff asymmetry from compounding
-        rho = 0.5 * (rho + rho.conj().T)
+        rho += rho_h
+        rho *= 0.5
         tr = np.trace(rho)
         if not np.isfinite(tr.real) or not np.isfinite(tr.imag):
             raise IntegratorError(

@@ -10,9 +10,7 @@ deterministic — same spec, same bytes.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -61,6 +59,14 @@ __all__ = [
 SCENARIO_KINDS = ("bell", "ghz-sweep", "trajectory", "rwa-scan")
 DEFAULT_M_SWEEP = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
 DEFAULT_OMEGA_SCAN = (25.0, 50.0, 100.0, 200.0)
+_FLOAT_FIELDS = (
+    "delta_over_eta",
+    "kappa_over_eta",
+    "gamma1_over_eta",
+    "gamma2_over_eta",
+    "dt_override",
+    "eta_mhz",
+)
 
 
 class SpecError(ValueError):
@@ -94,6 +100,11 @@ class ScenarioSpec:
         """
         if self.kind not in SCENARIO_KINDS:
             raise SpecError(f"unknown scenario kind {self.kind!r}; choose from {SCENARIO_KINDS}")
+        # NaN slips through every ordering check below, and inf reaches integer step counts
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise SpecError(f"{name} must be finite, got {value}")
         n_qubits = 1 if self.kind == "trajectory" else self.n_qubits
         if n_qubits < 1:
             raise SpecError(f"n_qubits must be >= 1, got {self.n_qubits}")
@@ -114,6 +125,8 @@ class ScenarioSpec:
             raise SpecError(f"dt_override must be positive, got {self.dt_override}")
         phis = self.phis if self.phis is not None else (0.0,) * n_qubits
         phis = tuple(float(p) for p in phis)
+        if not all(math.isfinite(p) for p in phis):
+            raise SpecError(f"drive phases must be finite, got {list(phis)}")
         if len(phis) != n_qubits:
             raise SpecError(f"got {len(phis)} drive phases for {n_qubits} qubits")
         if self.kind == "trajectory" and any(p != 0.0 for p in phis):
@@ -163,10 +176,6 @@ def _write_csv(
             # repr of a Python float is the shortest round-trip form: exact re-parse
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
     return str(out)
-
-
-def _pool_size(n_tasks: int) -> int:
-    return max(1, min(4, n_tasks, os.cpu_count() or 1))
 
 
 def run_bell(spec: ScenarioSpec) -> dict:
@@ -242,14 +251,16 @@ def run_ghz_sweep(spec: ScenarioSpec, m_values: Sequence[float] = DEFAULT_M_SWEE
 
     For each m the N-qubit scenario runs with γ₁ = γ₂ = m·κ over the window
     [0, 2τ_n] (≥500 recorded samples) and the maximum of F(t) is written as a
-    row (m, f_max, t_at_max).  Points run on a bounded worker pool; rows are
-    written in ascending m regardless of completion order.
+    row (m, f_max, t_at_max).  Points run one after another in ascending m,
+    so the rows and bytes do not depend on the order of ``m_values``.
     """
     spec = spec.validated()
     if spec.kind != "ghz-sweep":
         raise SpecError(f"run_ghz_sweep needs kind='ghz-sweep', got {spec.kind!r}")
     if not m_values:
         raise SpecError("m_values must be non-empty")
+    if not all(math.isfinite(m) for m in m_values):
+        raise SpecError(f"m values must be finite, got {list(m_values)}")
     if any(m < 0 for m in m_values):
         raise SpecError(f"m values must be non-negative, got {list(m_values)}")
     space = HilbertSpace(n_qubits=spec.n_qubits, cavity_dim=spec.cavity_dim)
@@ -268,8 +279,7 @@ def run_ghz_sweep(spec: ScenarioSpec, m_values: Sequence[float] = DEFAULT_M_SWEE
     target = ghz_target(spec.n_qubits)
 
     ms = sorted(float(m) for m in m_values)
-    with ThreadPoolExecutor(max_workers=_pool_size(len(ms))) as pool:
-        points = list(pool.map(lambda m: _ghz_point(m, spec, space, provider, target, cfg), ms))
+    points = [_ghz_point(m, spec, space, provider, target, cfg) for m in ms]
 
     meta = _metadata(
         spec,
@@ -392,6 +402,8 @@ def run_rwa_scan(spec: ScenarioSpec, omega_values: Sequence[float] = DEFAULT_OME
     if not omega_values:
         raise SpecError("omega_values must be non-empty")
     omegas = sorted(float(w) for w in omega_values)
+    if not all(math.isfinite(w) for w in omegas):
+        raise SpecError(f"omega values must be finite, got {list(omega_values)}")
     if omegas[0] <= 0:
         raise SpecError(f"omega values must be positive, got {list(omega_values)}")
     slow = [w for w in omegas if w < 10.0 * spec.delta_over_eta]
@@ -402,8 +414,7 @@ def run_rwa_scan(spec: ScenarioSpec, omega_values: Sequence[float] = DEFAULT_OME
             stacklevel=2,
         )
     space = HilbertSpace(n_qubits=spec.n_qubits, cavity_dim=spec.cavity_dim)
-    with ThreadPoolExecutor(max_workers=_pool_size(len(omegas))) as pool:
-        points = list(pool.map(lambda w: _rwa_point(w, spec, space), omegas))
+    points = [_rwa_point(w, spec, space) for w in omegas]
 
     log_w = np.log([p["omega"] for p in points])
     log_i = np.log([p["infidelity"] for p in points])

@@ -115,13 +115,14 @@ class TestDissipatorAgainstDenseReference:
             (3, 2, DecoherenceRates(gamma1=0.7, gamma2=0.4)),
             (0, 6, DecoherenceRates(kappa=0.5)),
             (2, 1, DecoherenceRates(gamma1=0.3, gamma2=0.9)),
+            (4, 3, DecoherenceRates(kappa=0.3, gamma1=0.2, gamma2=0.1)),
         ],
     )
     def test_structured_equals_dense(self, n_qubits, cavity_dim, rates):
         space = HilbertSpace(n_qubits, cavity_dim)
         rho = _random_density(space.dim)
         h = _random_hermitian(space.dim)
-        got = _rhs(h, rho, _Dissipator(rates, space))
+        got = _rhs(h, rho, _Dissipator(rates, space), np.empty_like(rho), np.empty_like(rho))
         want = _dense_lindblad_rhs(h, rho, rates, space)
         np.testing.assert_allclose(got, want, atol=1e-13)
 
@@ -129,7 +130,8 @@ class TestDissipatorAgainstDenseReference:
         space = HilbertSpace(1, 4)
         rho = _random_density(8)
         h = _random_hermitian(8)
-        got = _rhs(h, rho, _Dissipator(DecoherenceRates(), space))
+        diss = _Dissipator(DecoherenceRates(), space)
+        got = _rhs(h, rho, diss, np.empty_like(rho), np.empty_like(rho))
         np.testing.assert_allclose(got, 1j * (rho @ h - h @ rho), atol=1e-13)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +54,8 @@ class TestScenarioSpecValidation:
             (ScenarioSpec(kind="bell", dt_override=0.0), "dt_override"),
             (ScenarioSpec(kind="bell", phis=(0.0,)), "phases"),
             (ScenarioSpec(kind="trajectory", phis=(0.5,)), "phis must be 0"),
+            (ScenarioSpec(kind="bell", eta_mhz=math.inf), "eta_mhz must be finite"),
+            (ScenarioSpec(kind="bell", phis=(0.0, math.nan)), "phases must be finite"),
         ],
     )
     def test_rejected_specs(self, spec, msg):
@@ -83,6 +86,8 @@ class TestScenarioSpecValidation:
         rwa = ScenarioSpec(kind="rwa-scan", output_path=str(tmp_path / "r.csv"))
         with pytest.raises(SpecError, match="positive"):
             run_rwa_scan(rwa, omega_values=(0.0,))
+        with pytest.raises(SpecError, match="finite"):
+            run_rwa_scan(rwa, omega_values=(50.0, math.inf))
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +153,12 @@ class TestTrajectoryScenario:
         run_trajectory(ScenarioSpec(kind="trajectory", output_path=str(a)))
         run_trajectory(ScenarioSpec(kind="trajectory", output_path=str(b)))
         assert a.read_bytes() == b.read_bytes()
+        # a sweep's bytes must not depend on the order its points are given in
+        c, d = tmp_path / "c.csv", tmp_path / "d.csv"
+        ghz = ScenarioSpec(kind="ghz-sweep", n_qubits=2, cavity_dim=4)
+        run_ghz_sweep(replace(ghz, output_path=str(c)), m_values=(0.5, 2.0, 1.0))
+        run_ghz_sweep(replace(ghz, output_path=str(d)), m_values=(2.0, 1.0, 0.5))
+        assert c.read_bytes() == d.read_bytes()
 
 
 class TestGhzSweepScenario:
@@ -214,6 +225,21 @@ class TestCli:
     def test_invalid_spec_exits_two(self, tmp_path):
         rc = cli.main(["bell", "--n-qubits", "3", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bell", "--delta-over-eta", "nan"],
+            ["bell", "--dt-over-eta", "nan"],
+            ["bell", "--delta-over-eta", "inf"],
+            ["bell", "--kappa-over-eta", "nan"],
+            ["ghz-sweep", "--m-values", "nan"],
+        ],
+    )
+    def test_non_finite_input_exits_two(self, tmp_path, args):
+        out = tmp_path / "x.csv"
+        assert cli.main([*args, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_integrator_abort_exits_three(self, tmp_path, monkeypatch):
         def boom(spec):
