@@ -30,7 +30,6 @@ from .core import (
     expectation,
     fock_state,
     ground_state,
-    kron,
     matexp,
     partial_trace_cavity,
     quadrature_p,
@@ -60,9 +59,7 @@ from .model import (
     effective_pair_hamiltonian,
     gate_unitary,
     ghz_target,
-    hamiltonian_h1,
     hamiltonian_h1_provider,
-    hamiltonian_h2,
     hamiltonian_h2_provider,
     loop_time,
     pair_coupling_rate,
@@ -100,7 +97,6 @@ __all__ = [
     "expectation",
     "fock_state",
     "ground_state",
-    "kron",
     "matexp",
     "partial_trace_cavity",
     "quadrature_p",
@@ -126,9 +122,7 @@ __all__ = [
     "effective_pair_hamiltonian",
     "gate_unitary",
     "ghz_target",
-    "hamiltonian_h1",
     "hamiltonian_h1_provider",
-    "hamiltonian_h2",
     "hamiltonian_h2_provider",
     "loop_time",
     "pair_coupling_rate",

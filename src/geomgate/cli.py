@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 invalid scenario spec, 3 integrator abort.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -93,43 +94,70 @@ def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
         kappa_over_eta=args.kappa_over_eta,
         gamma1_over_eta=args.gamma1_over_eta,
         gamma2_over_eta=args.gamma2_over_eta,
-        cavity_dim=args.cavity_dim if args.cavity_dim is not None else 16,
+        cavity_dim=args.cavity_dim,
         dt_override=args.dt_over_eta,
         output_path=args.out or "",
         eta_mhz=args.eta_mhz,
     )
 
 
+# Each command returns (summary, stdout lines).  The runners are looked up by
+# name at call time, so replacing them on this module takes effect.
+
+
+def _bell(spec: ScenarioSpec, args: argparse.Namespace) -> tuple[dict, list[str]]:
+    summary = run_bell(spec)
+    return summary, [
+        f"bell: F(tau_{spec.n_loops}) = {summary['final_fidelity']:.6f} "
+        f"at eta*t/pi = {summary['t_end'] / math.pi:.6f}"
+    ]
+
+
+def _ghz_sweep(spec: ScenarioSpec, args: argparse.Namespace) -> tuple[dict, list[str]]:
+    summary = run_ghz_sweep(spec, args.m_values)
+    return summary, [
+        f"ghz-sweep: m={point['m']:g} f_max={point['f_max']:.6f} at t={point['t_at_max']:.6f}"
+        for point in summary["points"]
+    ]
+
+
+def _trajectory(spec: ScenarioSpec, args: argparse.Namespace) -> tuple[dict, list[str]]:
+    summary = run_trajectory(spec)
+    return summary, [
+        f"trajectory: max|sim-analytic| = {summary['max_sim_deviation']:.3e}, "
+        f"simulated closure = {summary['simulated_closure']:.3e}"
+    ]
+
+
+def _rwa_scan(spec: ScenarioSpec, args: argparse.Namespace) -> tuple[dict, list[str]]:
+    summary = run_rwa_scan(spec, args.omega_values)
+    lines = [
+        f"rwa-scan: omega={point['omega']:g} infidelity={point['infidelity']:.6e}"
+        for point in summary["points"]
+    ]
+    return summary, [*lines, f"rwa-scan: log-log slope = {summary['slope']:.4f}"]
+
+
+_COMMANDS = {
+    "bell": _bell,
+    "ghz-sweep": _ghz_sweep,
+    "trajectory": _trajectory,
+    "rwa-scan": _rwa_scan,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    spec = _spec_from_args(args)
     try:
-        if args.kind == "bell":
-            summary = run_bell(spec)
-        elif args.kind == "ghz-sweep":
-            summary = run_ghz_sweep(spec, args.m_values)
-            for point in summary["points"]:
-                print(
-                    f"ghz-sweep: m={point['m']:g} f_max={point['f_max']:.6f} "
-                    f"at t={point['t_at_max']:.6f}"
-                )
-        elif args.kind == "trajectory":
-            summary = run_trajectory(spec)
-            print(
-                f"trajectory: max|sim-analytic| = {summary['max_sim_deviation']:.3e}, "
-                f"simulated closure = {summary['simulated_closure']:.3e}"
-            )
-        else:
-            summary = run_rwa_scan(spec, args.omega_values)
-            for point in summary["points"]:
-                print(f"rwa-scan: omega={point['omega']:g} infidelity={point['infidelity']:.6e}")
-            print(f"rwa-scan: log-log slope = {summary['slope']:.4f}")
+        summary, lines = _COMMANDS[args.kind](_spec_from_args(args), args)
     except SpecError as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return 2
     except IntegratorError as exc:
         print(f"error: integration aborted: {exc}", file=sys.stderr)
         return 3
+    for line in lines:
+        print(line)
     print(f"wrote {summary['path']}")
     return 0
 

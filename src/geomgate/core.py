@@ -37,7 +37,6 @@ __all__ = [
     "IDENTITY_2",
     "HilbertSpace",
     "QuantumState",
-    "kron",
     "matexp",
     "annihilation",
     "embed",
@@ -139,20 +138,6 @@ class QuantumState:
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"psi norm deviates from 1 by {abs(norm - 1.0):.3e}")
         return cls(space=space, rho=np.outer(psi, psi.conj()))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices, in the package's layout convention.
-
-    Thin validated wrapper over :func:`numpy.kron`: the left factor is the
-    more significant one, matching :class:`HilbertSpace` (qubits left of the
-    cavity, qubit 1 leftmost).
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kron expects two matrices")
-    return np.kron(a, b)
 
 
 def matexp(a: np.ndarray) -> np.ndarray:

@@ -30,8 +30,6 @@ __all__ = [
     "DriveParams",
     "Trajectory",
     "effective_coupling",
-    "hamiltonian_h1",
-    "hamiltonian_h2",
     "hamiltonian_h1_provider",
     "hamiltonian_h2_provider",
     "default_dt",
@@ -150,52 +148,18 @@ def _check_space(drive: DriveParams, space: HilbertSpace) -> None:
         raise ValueError("drive Hamiltonians need a non-trivial cavity (cavity_dim >= 2)")
 
 
-def hamiltonian_h2(drive: DriveParams, space: HilbertSpace, t: float) -> np.ndarray:
-    """Spin-dependent dipole force Hamiltonian at time ``t``.
-
-    H(t) = Σ_j η_j [a e^{i(δt + φ_j)} + a† e^{-i(δt + φ_j)}] σ_j^x
-    """
-    _check_space(drive, space)
-    a = embed(annihilation(space.cavity_dim), CAVITY, space)
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    for j in range(1, space.n_qubits + 1):
-        z = drive.etas[j - 1] * np.exp(1j * (drive.delta * t + drive.phis[j - 1]))
-        h += (z * a + np.conj(z) * a.conj().T) @ embed(SIGMA_X, j, space)
-    return h
-
-
-def hamiltonian_h1(drive: DriveParams, space: HilbertSpace, t: float) -> np.ndarray:
-    """Full drive Hamiltonian at time ``t``, including the Ω-oscillating terms.
-
-    Adds to :func:`hamiltonian_h2` the cross terms
-    Σ_j η_j [a e^{i(δt + φ_j)} (e^{iΩt}|+⟩⟨-|_j - e^{-iΩt}|-⟩⟨+|_j) + h.c.]
-    that the strong-driving approximation (Ω ≫ δ, η) discards.
-    """
-    _check_space(drive, space)
-    a = embed(annihilation(space.cavity_dim), CAVITY, space)
-    h = hamiltonian_h2(drive, space, t)
-    for j in range(1, space.n_qubits + 1):
-        z = drive.etas[j - 1] * np.exp(1j * (drive.delta * t + drive.phis[j - 1]))
-        cross = embed(
-            np.exp(1j * drive.omega * t) * PLUS_MINUS
-            - np.exp(-1j * drive.omega * t) * MINUS_PLUS,
-            j,
-            space,
-        )
-        term = z * (a @ cross)
-        h += term + term.conj().T
-    return h
-
-
 def hamiltonian_h2_provider(
     drive: DriveParams, space: HilbertSpace
 ) -> Callable[[float], np.ndarray]:
-    """Closure t ↦ H2(t) with the time-independent operator content precomputed.
+    """Closure t ↦ H2(t), the spin-dependent dipole force Hamiltonian.
 
-    Identical entrywise to :func:`hamiltonian_h2`; this form keeps per-step
-    cost at one scalar-matrix multiply-add, which matters inside integrator
-    loops.  The returned callable carries a ``max_frequency`` attribute (the
-    fastest oscillation present, |δ|) for integrator-step validation.
+    H2(t) = Σ_j η_j [a e^{i(δt + φ_j)} + a† e^{-i(δt + φ_j)}] σ_j^x
+
+    The time-independent operator B = Σ_j η_j e^{iφ_j} a σ_j^x is built once,
+    so each call costs one scalar-matrix multiply-add (H2(t) = e^{iδt}B + h.c.),
+    which matters inside integrator loops.  The returned callable carries a
+    ``max_frequency`` attribute (the fastest oscillation present, |δ|) for
+    integrator-step validation.
     """
     _check_space(drive, space)
     a = embed(annihilation(space.cavity_dim), CAVITY, space)
@@ -219,42 +183,43 @@ def hamiltonian_h2_provider(
 def hamiltonian_h1_provider(
     drive: DriveParams, space: HilbertSpace
 ) -> Callable[[float], np.ndarray]:
-    """Closure t ↦ H1(t); entrywise identical to :func:`hamiltonian_h1`.
+    """Closure t ↦ H1(t), the full drive Hamiltonian including the Ω-oscillating terms.
 
-    The cross terms oscillate at δ ± Ω, so ``max_frequency`` is |δ| + |Ω|.
+    H1(t) = H2(t) + Σ_j η_j [a e^{i(δt + φ_j)} (e^{iΩt}|+⟩⟨-|_j - e^{-iΩt}|-⟩⟨+|_j) + h.c.]
+
+    with H2 from :func:`hamiltonian_h2_provider`; the strong-driving
+    approximation (Ω ≫ δ, η) discards the cross terms.  They oscillate at
+    δ ± Ω, so ``max_frequency`` is |δ| + |Ω|.
     """
-    _check_space(drive, space)
+    h2 = hamiltonian_h2_provider(drive, space)
     a = embed(annihilation(space.cavity_dim), CAVITY, space)
-    b = np.zeros((space.dim, space.dim), dtype=complex)
-    c_plus = np.zeros_like(b)
-    c_minus = np.zeros_like(b)
+    c_plus = np.zeros((space.dim, space.dim), dtype=complex)
+    c_minus = np.zeros_like(c_plus)
     for j in range(1, space.n_qubits + 1):
         w = drive.etas[j - 1] * np.exp(1j * drive.phis[j - 1])
-        b += w * (a @ embed(SIGMA_X, j, space))
         c_plus += w * (a @ embed(PLUS_MINUS, j, space))
         c_minus += w * (a @ embed(MINUS_PLUS, j, space))
-    bd = b.conj().T.copy()
 
     def h_of_t(t: float) -> np.ndarray:
-        z = np.exp(1j * drive.delta * t)
         zp = np.exp(1j * (drive.delta + drive.omega) * t)
         zm = np.exp(1j * (drive.delta - drive.omega) * t)
         upper = zp * c_plus - zm * c_minus
-        return z * b + np.conj(z) * bd + upper + upper.conj().T
+        return h2(t) + upper + upper.conj().T
 
     h_of_t.max_frequency = abs(drive.delta) + abs(drive.omega)  # type: ignore[attr-defined]
     return h_of_t
 
 
-def default_dt(drive: DriveParams, samples_per_cycle: int = 200) -> float:
-    """Step size resolving the fastest drive frequency with the given sampling.
+def default_dt(drive: DriveParams) -> float:
+    """Step size resolving the fastest drive frequency with 200 steps per cycle.
 
-    Default: 2π/(200·max(|δ|, |Ω|)).
+    Returns 2π/(200·max(|δ|, |Ω|)), twice the sampling that
+    :class:`~geomgate.dynamics.IntegratorConfig` requires.
     """
     fastest = max(abs(drive.delta), abs(drive.omega))
     if fastest <= 0:
         raise ValueError("drive has no oscillation frequency to resolve")
-    return 2.0 * math.pi / (samples_per_cycle * fastest)
+    return 2.0 * math.pi / (200 * fastest)
 
 
 @dataclass(frozen=True)
@@ -284,7 +249,7 @@ def trajectory(eta: float, delta: float, times: Sequence[float]) -> Trajectory:
 
     This is the loop on the positive-x side of phase space; the two σ^x
     eigenstates trace this curve and its point reflection through the origin.
-    Under the sign convention of :func:`hamiltonian_h2`, the σ^x = -1
+    Under the sign convention of :func:`hamiltonian_h2_provider`, the σ^x = -1
     eigenstate follows the positive-x loop returned here and the σ^x = +1
     eigenstate its negation.  The loop closes at δt = 2nπ.
 

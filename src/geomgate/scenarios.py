@@ -135,7 +135,9 @@ class ScenarioSpec:
         return replace(self, n_qubits=n_qubits, phis=phis, output_path=out)
 
 
-def _metadata(spec: ScenarioSpec, **extra: object) -> dict[str, object]:
+def _metadata(
+    spec: ScenarioSpec, cfg: IntegratorConfig | None, **extra: object
+) -> dict[str, object]:
     meta: dict[str, object] = {
         "kind": spec.kind,
         "n_qubits": spec.n_qubits,
@@ -150,7 +152,70 @@ def _metadata(spec: ScenarioSpec, **extra: object) -> dict[str, object]:
     if spec.eta_mhz is not None:
         meta["eta_mhz"] = spec.eta_mhz
     meta.update(extra)
+    if cfg is not None:
+        meta.update(dt=cfg.dt_effective, n_steps=cfg.n_steps, record_stride=cfg.record_stride)
     return meta
+
+
+def _checked(spec: ScenarioSpec, kind: str) -> ScenarioSpec:
+    spec = spec.validated()
+    if spec.kind != kind:
+        raise SpecError(f"the {kind} runner needs kind={kind!r}, got {spec.kind!r}")
+    return spec
+
+
+def _sweep_values(name: str, values: Sequence[float], positive: bool) -> list[float]:
+    """Sweep values in ascending order, so the rows do not depend on the given order.
+
+    A repeated value would integrate one point twice and, in the RWA scan,
+    divide by a zero log-spacing.
+    """
+    if not values:
+        raise SpecError(f"{name} values must be non-empty")
+    ordered = sorted(float(v) for v in values)
+    if not all(math.isfinite(v) for v in ordered):
+        raise SpecError(f"{name} values must be finite, got {list(values)}")
+    if ordered[0] < 0 or (positive and ordered[0] == 0):
+        bound = "positive" if positive else "non-negative"
+        raise SpecError(f"{name} values must be {bound}, got {list(values)}")
+    if any(a == b for a, b in zip(ordered, ordered[1:])):
+        raise SpecError(f"{name} values must be distinct, got {list(values)}")
+    return ordered
+
+
+def _plan(
+    spec: ScenarioSpec,
+    drive: DriveParams,
+    provider,
+    t_end: float,
+    records: int = 0,
+    min_steps: int = 1,
+    step_multiple: int = 1,
+) -> IntegratorConfig:
+    """Step plan over [0, t_end] with steps no longer than the override or :func:`default_dt`.
+
+    The step count is raised to ``min_steps`` and then to a multiple of
+    ``step_multiple``; the stride keeps about ``records`` records (all when 0).
+    A dt or t_end that is not positive and finite (a tiny δ overflows t_end, a
+    huge Ω underflows the default dt) and a plan the integrator rejects are
+    spec errors.
+    """
+    dt = spec.dt_override if spec.dt_override is not None else default_dt(drive)
+    if not (0 < dt < math.inf and 0 < t_end < math.inf and t_end / dt < math.inf):
+        raise SpecError(f"no finite step plan for dt={dt!r} over t_end={t_end!r}")
+    # small slack so exact divisions do not gain a step to roundoff
+    n_steps = max(min_steps, math.ceil(t_end / dt - 1e-9))
+    n_steps += -n_steps % step_multiple  # round up to a multiple
+    stride = max(1, n_steps // records) if records else 1
+    try:
+        return IntegratorConfig(
+            dt=t_end / n_steps,
+            t_end=t_end,
+            record_stride=stride,
+            max_frequency=provider.max_frequency,
+        )
+    except ValueError as exc:
+        raise SpecError(f"step plan rejected: {exc}") from exc
 
 
 def _fmt(value: object) -> str:
@@ -160,16 +225,17 @@ def _fmt(value: object) -> str:
 
 
 def _write_csv(
-    path: str,
-    metadata: dict[str, object],
+    spec: ScenarioSpec,
+    cfg: IntegratorConfig | None,
     header: Sequence[str],
     rows: Iterable[Sequence[float]],
+    **extra: object,
 ) -> str:
-    out = Path(path)
+    out = Path(spec.output_path)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", encoding="utf-8", newline="") as fh:
-        for key, value in metadata.items():
+        for key, value in _metadata(spec, cfg, **extra).items():
             fh.write(f"# {key}={_fmt(value)}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -183,24 +249,14 @@ def run_bell(spec: ScenarioSpec) -> dict:
 
     Integrates the master equation under the spin-dependent force drive over
     n_loops closed loops and writes rows (eta_t_over_pi, fidelity, trace,
-    purity).  Prints and returns the final fidelity at τ_n.
+    purity).  Returns the final fidelity at τ_n.
     """
-    spec = spec.validated()
-    if spec.kind != "bell":
-        raise SpecError(f"run_bell needs kind='bell', got {spec.kind!r}")
+    spec = _checked(spec, "bell")
     space = HilbertSpace(n_qubits=2, cavity_dim=spec.cavity_dim)
     drive = DriveParams(etas=(1.0, 1.0), phis=spec.phis, delta=spec.delta_over_eta)
     provider = hamiltonian_h2_provider(drive, space)
     t_end = loop_time(spec.delta_over_eta, spec.n_loops)
-    dt = spec.dt_override if spec.dt_override is not None else default_dt(drive)
-    n_steps = max(1, int(math.ceil(t_end / dt - 1e-9)))
-    stride = max(1, n_steps // 400)
-    cfg = IntegratorConfig(
-        dt=t_end / n_steps,
-        t_end=t_end,
-        record_stride=stride,
-        max_frequency=provider.max_frequency,
-    )
+    cfg = _plan(spec, drive, provider, t_end, records=400)
     rates = DecoherenceRates(
         kappa=spec.kappa_over_eta,
         gamma1=spec.gamma1_over_eta,
@@ -209,16 +265,9 @@ def run_bell(spec: ScenarioSpec) -> dict:
     initial = QuantumState.from_pure(space, ground_state(space))
     result = evolve_lindblad(provider, rates, initial, bell_target(), cfg)
 
-    meta = _metadata(
-        spec,
-        t_end=t_end,
-        dt=cfg.dt_effective,
-        n_steps=cfg.n_steps,
-        record_stride=cfg.record_stride,
-    )
     rows = zip(result.times / math.pi, result.fidelities, result.traces, result.purities)
-    path = _write_csv(spec.output_path, meta, ("eta_t_over_pi", "fidelity", "trace", "purity"), rows)
-    print(f"bell: F(tau_{spec.n_loops}) = {result.final_fidelity:.6f} at eta*t/pi = {t_end / math.pi:.6f}")
+    header = ("eta_t_over_pi", "fidelity", "trace", "purity")
+    path = _write_csv(spec, cfg, header, rows, t_end=t_end)
     return {
         "final_fidelity": result.final_fidelity,
         "t_end": t_end,
@@ -254,43 +303,20 @@ def run_ghz_sweep(spec: ScenarioSpec, m_values: Sequence[float] = DEFAULT_M_SWEE
     row (m, f_max, t_at_max).  Points run one after another in ascending m,
     so the rows and bytes do not depend on the order of ``m_values``.
     """
-    spec = spec.validated()
-    if spec.kind != "ghz-sweep":
-        raise SpecError(f"run_ghz_sweep needs kind='ghz-sweep', got {spec.kind!r}")
-    if not m_values:
-        raise SpecError("m_values must be non-empty")
-    if not all(math.isfinite(m) for m in m_values):
-        raise SpecError(f"m values must be finite, got {list(m_values)}")
-    if any(m < 0 for m in m_values):
-        raise SpecError(f"m values must be non-negative, got {list(m_values)}")
+    spec = _checked(spec, "ghz-sweep")
+    ms = _sweep_values("m", m_values, positive=False)
     space = HilbertSpace(n_qubits=spec.n_qubits, cavity_dim=spec.cavity_dim)
     drive = DriveParams(etas=(1.0,) * spec.n_qubits, phis=spec.phis, delta=spec.delta_over_eta)
     provider = hamiltonian_h2_provider(drive, space)
     t_end = 2.0 * loop_time(spec.delta_over_eta, spec.n_loops)
-    dt = spec.dt_override if spec.dt_override is not None else default_dt(drive)
-    # >= 500 recorded samples across the search window
-    n_steps = max(500, int(math.ceil(t_end / dt - 1e-9)))
-    cfg = IntegratorConfig(
-        dt=t_end / n_steps,
-        t_end=t_end,
-        record_stride=max(1, n_steps // 500),
-        max_frequency=provider.max_frequency,
-    )
+    # >= 500 steps and about 500 recorded samples across the search window
+    cfg = _plan(spec, drive, provider, t_end, records=500, min_steps=500)
     target = ghz_target(spec.n_qubits)
 
-    ms = sorted(float(m) for m in m_values)
     points = [_ghz_point(m, spec, space, provider, target, cfg) for m in ms]
 
-    meta = _metadata(
-        spec,
-        m_values=ms,
-        t_window=t_end,
-        dt=cfg.dt_effective,
-        n_steps=cfg.n_steps,
-        record_stride=cfg.record_stride,
-    )
     rows = [(p["m"], p["f_max"], p["t_at_max"]) for p in points]
-    path = _write_csv(spec.output_path, meta, ("m", "f_max", "t_at_max"), rows)
+    path = _write_csv(spec, cfg, ("m", "f_max", "t_at_max"), rows, m_values=ms, t_window=t_end)
     return {"points": points, "path": path, "t_window": t_end}
 
 
@@ -303,24 +329,15 @@ def run_trajectory(spec: ScenarioSpec) -> dict:
     the positive-x loop under this drive convention (the -1 eigenstate).
     Decoherence rates in the scenario parameters are ignored (closed-system check).
     """
-    spec = spec.validated()
-    if spec.kind != "trajectory":
-        raise SpecError(f"run_trajectory needs kind='trajectory', got {spec.kind!r}")
+    spec = _checked(spec, "trajectory")
     delta = spec.delta_over_eta
     space = HilbertSpace(n_qubits=1, cavity_dim=spec.cavity_dim)
     drive = DriveParams(etas=(1.0,), phis=spec.phis, delta=delta)
     provider = hamiltonian_h2_provider(drive, space)
     t_end = loop_time(delta, spec.n_loops)
+    # exactly 512 rows per loop: the step count is a multiple of the row count
     n_rows = 512 * spec.n_loops
-    dt_target = spec.dt_override if spec.dt_override is not None else default_dt(drive)
-    steps_per_row = max(1, int(math.ceil(t_end / dt_target / n_rows - 1e-9)))
-    n_steps = n_rows * steps_per_row
-    cfg = IntegratorConfig(
-        dt=t_end / n_steps,
-        t_end=t_end,
-        record_stride=steps_per_row,
-        max_frequency=provider.max_frequency,
-    )
+    cfg = _plan(spec, drive, provider, t_end, records=n_rows, step_multiple=n_rows)
     # σ^x = -1 eigenstate ⊗ vacuum: the branch tracing the positive-x loop
     qubit_minus = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
     psi0 = np.kron(qubit_minus, fock_state(spec.cavity_dim, 0))
@@ -340,22 +357,11 @@ def run_trajectory(spec: ScenarioSpec) -> dict:
     x_sim = result.observables["x"]
     p_sim = result.observables["p"]
 
-    meta = _metadata(
-        spec,
-        t_end=t_end,
-        dt=cfg.dt_effective,
-        n_steps=cfg.n_steps,
-        record_stride=cfg.record_stride,
-    )
     rows = zip(
         analytic.times, analytic.xs, analytic.ps, -analytic.xs, -analytic.ps, x_sim, p_sim
     )
-    path = _write_csv(
-        spec.output_path,
-        meta,
-        ("t", "x_plus", "p_plus", "x_minus", "p_minus", "x_sim", "p_sim"),
-        rows,
-    )
+    header = ("t", "x_plus", "p_plus", "x_minus", "p_minus", "x_sim", "p_sim")
+    path = _write_csv(spec, cfg, header, rows, t_end=t_end)
     max_dev = max(
         float(np.abs(x_sim - analytic.xs).max()), float(np.abs(p_sim - analytic.ps).max())
     )
@@ -376,9 +382,7 @@ def _rwa_point(omega: float, spec: ScenarioSpec, space: HilbertSpace) -> dict:
     )
     full = hamiltonian_h1_provider(drive, space)
     approx = hamiltonian_h2_provider(drive, space)
-    t_end = loop_time(delta, spec.n_loops)
-    dt = spec.dt_override if spec.dt_override is not None else default_dt(drive)
-    cfg = IntegratorConfig(dt=dt, t_end=t_end, max_frequency=full.max_frequency)
+    cfg = _plan(spec, drive, full, loop_time(delta, spec.n_loops))
     psi0 = ground_state(space)
     psi_full, _ = evolve_unitary(full, psi0, cfg)
     psi_approx, _ = evolve_unitary(approx, psi0, cfg)
@@ -396,16 +400,8 @@ def run_rwa_scan(spec: ScenarioSpec, omega_values: Sequence[float] = DEFAULT_OME
     exponent is the finite-difference log-log slope at each point; the
     overall least-squares slope lands in the metadata and the summary.
     """
-    spec = spec.validated()
-    if spec.kind != "rwa-scan":
-        raise SpecError(f"run_rwa_scan needs kind='rwa-scan', got {spec.kind!r}")
-    if not omega_values:
-        raise SpecError("omega_values must be non-empty")
-    omegas = sorted(float(w) for w in omega_values)
-    if not all(math.isfinite(w) for w in omegas):
-        raise SpecError(f"omega values must be finite, got {list(omega_values)}")
-    if omegas[0] <= 0:
-        raise SpecError(f"omega values must be positive, got {list(omega_values)}")
+    spec = _checked(spec, "rwa-scan")
+    omegas = _sweep_values("omega", omega_values, positive=True)
     slow = [w for w in omegas if w < 10.0 * spec.delta_over_eta]
     if slow:
         warnings.warn(
@@ -428,11 +424,9 @@ def run_rwa_scan(spec: ScenarioSpec, omega_values: Sequence[float] = DEFAULT_OME
         exponents[i] = (log_i[hi] - log_i[lo]) / (log_w[hi] - log_w[lo])
     slope = float(np.polyfit(log_w, log_i, 1)[0]) if n >= 2 else math.nan
 
-    meta = _metadata(spec, omega_values=omegas, overall_slope=slope)
     rows = [
         (p["omega"], p["infidelity"], exponents[i]) for i, p in enumerate(points)
     ]
-    path = _write_csv(
-        spec.output_path, meta, ("omega_over_eta", "infidelity", "fitted_local_exponent"), rows
-    )
+    header = ("omega_over_eta", "infidelity", "fitted_local_exponent")
+    path = _write_csv(spec, None, header, rows, omega_values=omegas, overall_slope=slope)
     return {"points": points, "slope": slope, "path": path}

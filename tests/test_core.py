@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import geomgate
 from geomgate.core import (
     CAVITY,
     IDENTITY_2,
@@ -19,7 +20,6 @@ from geomgate.core import (
     expectation,
     fock_state,
     ground_state,
-    kron,
     matexp,
     partial_trace_cavity,
     quadrature_x,
@@ -41,35 +41,6 @@ def _random_density(dim: int) -> np.ndarray:
     return rho / np.trace(rho)
 
 
-class TestKron:
-    def test_identity_case(self):
-        np.testing.assert_array_equal(kron(IDENTITY_2, IDENTITY_2), np.eye(4))
-
-    def test_basis_action_fixes_layout(self):
-        # qubit 1 is the most significant factor: X on it maps |00> to |10>
-        psi = np.zeros(4, dtype=complex)
-        psi[0] = 1.0
-        out = kron(SIGMA_X, IDENTITY_2) @ psi
-        expected = np.zeros(4, dtype=complex)
-        expected[2] = 1.0
-        np.testing.assert_allclose(out, expected, atol=1e-15)
-
-    def test_sigma_x_pair_squares_to_identity(self):
-        m = kron(SIGMA_X, SIGMA_X)
-        np.testing.assert_allclose(m @ m, np.eye(4), atol=1e-15)
-
-    def test_rejects_non_matrices(self):
-        with pytest.raises(ValueError):
-            kron(np.ones(3), np.eye(2))
-
-    @settings(max_examples=25, deadline=None)
-    @given(a=_complex_matrix(2, 2), b=_complex_matrix(3, 3), c=_complex_matrix(2, 2))
-    def test_associativity(self, a, b, c):
-        np.testing.assert_allclose(
-            kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12
-        )
-
-
 class TestMatexp:
     def test_zero_matrix(self):
         np.testing.assert_array_equal(matexp(np.zeros((3, 3))), np.eye(3))
@@ -81,7 +52,7 @@ class TestMatexp:
 
     def test_xx_rotation_closed_form(self):
         # (sigma_x (x) sigma_x)^2 = I collapses the series to cos/sin terms
-        xx = kron(SIGMA_X, SIGMA_X)
+        xx = np.kron(SIGMA_X, SIGMA_X)
         theta = math.pi / 4.0
         expected = math.cos(theta) * np.eye(4) - 1j * math.sin(theta) * xx
         np.testing.assert_allclose(matexp(-1j * theta * xx), expected, atol=1e-14)
@@ -134,6 +105,16 @@ class TestEmbed:
         space = HilbertSpace(2, 3)
         np.testing.assert_array_equal(embed(IDENTITY_2, 1, space), np.eye(12))
 
+    def test_qubit_one_basis_action(self):
+        # qubit 1 is the most significant factor: X on it maps |00> to |10>
+        space = HilbertSpace(2, 1)
+        psi = np.zeros(4, dtype=complex)
+        psi[0] = 1.0
+        out = embed(SIGMA_X, 1, space) @ psi
+        expected = np.zeros(4, dtype=complex)
+        expected[2] = 1.0
+        np.testing.assert_allclose(out, expected, atol=1e-15)
+
     def test_qubit_two_basis_action(self):
         space = HilbertSpace(2, 1)
         psi = np.zeros(4, dtype=complex)
@@ -146,7 +127,7 @@ class TestEmbed:
     def test_cavity_site_matches_kron(self):
         space = HilbertSpace(1, 3)
         np.testing.assert_array_equal(
-            embed(annihilation(3), CAVITY, space), kron(IDENTITY_2, annihilation(3))
+            embed(annihilation(3), CAVITY, space), np.kron(IDENTITY_2, annihilation(3))
         )
 
     def test_rejects_wrong_dimensions(self):
@@ -175,14 +156,14 @@ class TestPartialTraceCavity:
         rho_q = _random_density(4)
         cav = np.zeros((3, 3), dtype=complex)
         cav[0, 0] = 1.0
-        state = QuantumState(space, kron(rho_q, cav))
+        state = QuantumState(space, np.kron(rho_q, cav))
         np.testing.assert_allclose(partial_trace_cavity(state), rho_q, atol=1e-14)
 
     def test_mixed_cavity_product_state(self):
         space = HilbertSpace(2, 3)
         rho_q = _random_density(4)
         cav = np.diag([0.5, 0.5, 0.0]).astype(complex)
-        state = QuantumState(space, kron(rho_q, cav))
+        state = QuantumState(space, np.kron(rho_q, cav))
         np.testing.assert_allclose(partial_trace_cavity(state), rho_q, atol=1e-14)
 
     def test_maximally_entangled_qubit_cavity(self):
@@ -292,3 +273,7 @@ class TestQuantumState:
         space = HilbertSpace(1, 2)
         with pytest.raises(ValueError, match="norm"):
             QuantumState.from_pure(space, np.ones(4))
+
+
+def test_public_names_resolve():
+    assert [name for name in geomgate.__all__ if not hasattr(geomgate, name)] == []

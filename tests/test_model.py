@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomgate.core import CAVITY, HilbertSpace, annihilation, embed, kron, matexp
+from geomgate.core import CAVITY, HilbertSpace, annihilation, embed, matexp
 from geomgate.dynamics import propagator_gate_distance
 from geomgate.model import (
     DriveParams,
@@ -19,9 +19,7 @@ from geomgate.model import (
     effective_pair_hamiltonian,
     gate_unitary,
     ghz_target,
-    hamiltonian_h1,
     hamiltonian_h1_provider,
-    hamiltonian_h2,
     hamiltonian_h2_provider,
     loop_time,
     pair_coupling_rate,
@@ -32,6 +30,8 @@ from geomgate.model import (
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+MINUS = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
 
 
 class TestEffectiveCoupling:
@@ -75,19 +75,46 @@ def _drive(n=2, delta=4.0, omega=0.0, phis=None, etas=None):
     )
 
 
+def _h2_literal(drive, space, t):
+    """H2(t) = Σ_j η_j [a e^{i(δt + φ_j)} + a† e^{-i(δt + φ_j)}] σ_j^x, term by term."""
+    a = embed(annihilation(space.cavity_dim), CAVITY, space)
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    for j in range(1, space.n_qubits + 1):
+        z = drive.etas[j - 1] * np.exp(1j * (drive.delta * t + drive.phis[j - 1]))
+        h += (z * a + np.conj(z) * a.conj().T) @ embed(SX, j, space)
+    return h
+
+
+def _h1_literal(drive, space, t):
+    """H2(t) plus Σ_j η_j [a e^{i(δt + φ_j)} (e^{iΩt}|+⟩⟨-|_j - e^{-iΩt}|-⟩⟨+|_j) + h.c.]."""
+    a = embed(annihilation(space.cavity_dim), CAVITY, space)
+    h = _h2_literal(drive, space, t)
+    for j in range(1, space.n_qubits + 1):
+        z = drive.etas[j - 1] * np.exp(1j * (drive.delta * t + drive.phis[j - 1]))
+        cross = embed(
+            np.exp(1j * drive.omega * t) * np.outer(PLUS, MINUS)
+            - np.exp(-1j * drive.omega * t) * np.outer(MINUS, PLUS),
+            j,
+            space,
+        )
+        term = z * (a @ cross)
+        h += term + term.conj().T
+    return h
+
+
 class TestDriveHamiltonians:
     def test_zero_couplings_give_zero_matrix(self):
         space = HilbertSpace(2, 3)
         drive = _drive(etas=(0.0, 0.0), omega=30.0)
-        assert np.abs(hamiltonian_h2(drive, space, 0.7)).max() == 0.0
-        assert np.abs(hamiltonian_h1(drive, space, 0.7)).max() == 0.0
+        assert np.abs(hamiltonian_h2_provider(drive, space)(0.7)).max() == 0.0
+        assert np.abs(hamiltonian_h1_provider(drive, space)(0.7)).max() == 0.0
 
     def test_force_form_at_t_zero(self):
         space = HilbertSpace(1, 5)
         a = annihilation(5)
-        expected = kron(SX, a + a.conj().T)
+        expected = np.kron(SX, a + a.conj().T)
         np.testing.assert_allclose(
-            hamiltonian_h2(_drive(1), space, 0.0), expected, atol=1e-14
+            hamiltonian_h2_provider(_drive(1), space)(0.0), expected, atol=1e-14
         )
 
     def test_force_form_at_quarter_period(self):
@@ -95,20 +122,22 @@ class TestDriveHamiltonians:
         space = HilbertSpace(1, 5)
         a = annihilation(5)
         t = (math.pi / 2.0) / 4.0
-        expected = kron(SX, 1j * a - 1j * a.conj().T)
+        expected = np.kron(SX, 1j * a - 1j * a.conj().T)
         np.testing.assert_allclose(
-            hamiltonian_h2(_drive(1), space, t), expected, atol=1e-12
+            hamiltonian_h2_provider(_drive(1), space)(t), expected, atol=1e-12
         )
 
     def test_phase_shift_by_pi_flips_sign(self):
         space = HilbertSpace(2, 3)
-        h = hamiltonian_h2(_drive(2), space, 0.37)
-        h_flipped = hamiltonian_h2(_drive(2, phis=(math.pi, math.pi)), space, 0.37)
+        h = hamiltonian_h2_provider(_drive(2), space)(0.37)
+        h_flipped = hamiltonian_h2_provider(_drive(2, phis=(math.pi, math.pi)), space)(0.37)
         np.testing.assert_allclose(h_flipped, -h, atol=1e-12)
 
     def test_h1_minus_h2_is_only_the_fast_terms(self):
         space = HilbertSpace(2, 4)
         drive = _drive(2, omega=50.0, phis=(0.2, -0.4))
+        p1 = hamiltonian_h1_provider(drive, space)
+        p2 = hamiltonian_h2_provider(drive, space)
         a_full = embed(annihilation(4), CAVITY, space)
         plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
         minus = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
@@ -128,8 +157,7 @@ class TestDriveHamiltonians:
                     )
                 )
                 cross += term + term.conj().T
-            diff = hamiltonian_h1(drive, space, t) - hamiltonian_h2(drive, space, t)
-            np.testing.assert_allclose(diff, cross, atol=1e-12)
+            np.testing.assert_allclose(p1(t) - p2(t), cross, atol=1e-12)
 
     def test_providers_match_literal_builders(self):
         space = HilbertSpace(2, 4)
@@ -137,16 +165,17 @@ class TestDriveHamiltonians:
         p1 = hamiltonian_h1_provider(drive, space)
         p2 = hamiltonian_h2_provider(drive, space)
         for t in (0.0, 0.41, 2.9):
-            np.testing.assert_allclose(p2(t), hamiltonian_h2(drive, space, t), atol=1e-12)
-            np.testing.assert_allclose(p1(t), hamiltonian_h1(drive, space, t), atol=1e-12)
+            np.testing.assert_allclose(p2(t), _h2_literal(drive, space, t), atol=1e-12)
+            np.testing.assert_allclose(p1(t), _h1_literal(drive, space, t), atol=1e-12)
         assert p2.max_frequency == pytest.approx(4.0)
         assert p1.max_frequency == pytest.approx(29.0)
 
     def test_rejects_mismatched_space(self):
-        with pytest.raises(ValueError):
-            hamiltonian_h2(_drive(2), HilbertSpace(1, 4), 0.0)
-        with pytest.raises(ValueError):
-            hamiltonian_h2(_drive(1), HilbertSpace(1, 1), 0.0)
+        for provider in (hamiltonian_h2_provider, hamiltonian_h1_provider):
+            with pytest.raises(ValueError):
+                provider(_drive(2), HilbertSpace(1, 4))
+            with pytest.raises(ValueError):
+                provider(_drive(1), HilbertSpace(1, 1))
 
     def test_default_dt_resolves_fastest_frequency(self):
         assert default_dt(_drive(1, delta=4.0)) == pytest.approx(2 * math.pi / 800)
@@ -161,7 +190,8 @@ class TestDriveHamiltonians:
     def test_builders_always_hermitian(self, t, phi, omega):
         space = HilbertSpace(2, 3)
         drive = _drive(2, omega=omega, phis=(phi, -0.5 * phi))
-        for h in (hamiltonian_h2(drive, space, t), hamiltonian_h1(drive, space, t)):
+        for provider in (hamiltonian_h2_provider, hamiltonian_h1_provider):
+            h = provider(drive, space)(t)
             assert np.abs(h - h.conj().T).max() < 1e-12
 
     @settings(max_examples=20, deadline=None)
@@ -169,8 +199,8 @@ class TestDriveHamiltonians:
     def test_common_phase_shift_equals_time_shift(self, t, c):
         space = HilbertSpace(2, 3)
         delta = 4.0
-        shifted_phase = hamiltonian_h2(_drive(2, phis=(c, c)), space, t)
-        shifted_time = hamiltonian_h2(_drive(2), space, t + c / delta)
+        shifted_phase = hamiltonian_h2_provider(_drive(2, phis=(c, c)), space)(t)
+        shifted_time = hamiltonian_h2_provider(_drive(2), space)(t + c / delta)
         np.testing.assert_allclose(shifted_phase, shifted_time, atol=1e-12)
 
 
@@ -238,10 +268,10 @@ class TestEffectiveModels:
         lam = 0.5
         assert np.abs(effective_pair_hamiltonian(lam, math.pi / 2.0)).max() < 1e-15
         np.testing.assert_allclose(
-            effective_pair_hamiltonian(lam, 0.0), lam * kron(SX, SX), atol=1e-15
+            effective_pair_hamiltonian(lam, 0.0), lam * np.kron(SX, SX), atol=1e-15
         )
         np.testing.assert_allclose(
-            effective_pair_hamiltonian(lam, math.pi), -lam * kron(SX, SX), atol=1e-12
+            effective_pair_hamiltonian(lam, math.pi), -lam * np.kron(SX, SX), atol=1e-12
         )
 
     def test_pair_coupling_extremes_over_phase(self):
@@ -348,7 +378,7 @@ class TestGateUnitary:
     def test_two_qubit_gate_equals_xx_rotation_up_to_phase(self):
         theta = 0.613
         u = gate_unitary(theta, 2)
-        v = matexp(-1j * theta * kron(SX, SX))
+        v = matexp(-1j * theta * np.kron(SX, SX))
         dist = propagator_gate_distance(u, v, HilbertSpace(2, 1), n_fock_keep=1)
         assert dist < 1e-12
 
