@@ -14,129 +14,19 @@ Layers: :mod:`geomgate.core` (operators and states), :mod:`geomgate.model`
 behind the ``geomgate`` CLI).
 """
 
-from .core import (
-    CAVITY,
-    IDENTITY_2,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    HilbertSpace,
-    QuantumState,
-    annihilation,
-    displaced_vacuum,
-    embed,
-    expectation,
-    fock_state,
-    ground_state,
-    matexp,
-    partial_trace_cavity,
-    quadrature_p,
-    quadrature_x,
-)
-from .dynamics import (
-    DecoherenceRates,
-    EvolutionResult,
-    IntegratorConfig,
-    IntegratorError,
-    evolve_lindblad,
-    evolve_unitary,
-    fidelity,
-    max_fidelity,
-    propagator_gate_distance,
-)
-from .model import (
-    ETA_REFERENCE_MHZ,
-    DriveParams,
-    PhysicalParams,
-    Trajectory,
-    bell_target,
-    default_dt,
-    effective_all_to_all,
-    effective_chain,
-    effective_coupling,
-    effective_pair_hamiltonian,
-    gate_unitary,
-    ghz_target,
-    hamiltonian_h1_provider,
-    hamiltonian_h2_provider,
-    loop_time,
-    pair_coupling_rate,
-    rate_to_mhz,
-    theta_of_schedule,
-    time_to_us,
-    trajectory,
-)
-from .scenarios import (
-    DEFAULT_M_SWEEP,
-    DEFAULT_OMEGA_SCAN,
-    ScenarioSpec,
-    SpecError,
-    run_bell,
-    run_ghz_sweep,
-    run_rwa_scan,
-    run_trajectory,
-)
+# each layer's __all__ is the one list of its public names
+from . import core, dynamics, model, scenarios
+from .core import *
+from .dynamics import *
+from .model import *
+from .scenarios import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CAVITY",
-    "IDENTITY_2",
-    "SIGMA_MINUS",
-    "SIGMA_PLUS",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "HilbertSpace",
-    "QuantumState",
-    "annihilation",
-    "displaced_vacuum",
-    "embed",
-    "expectation",
-    "fock_state",
-    "ground_state",
-    "matexp",
-    "partial_trace_cavity",
-    "quadrature_p",
-    "quadrature_x",
-    "DecoherenceRates",
-    "EvolutionResult",
-    "IntegratorConfig",
-    "IntegratorError",
-    "evolve_lindblad",
-    "evolve_unitary",
-    "fidelity",
-    "max_fidelity",
-    "propagator_gate_distance",
-    "ETA_REFERENCE_MHZ",
-    "DriveParams",
-    "PhysicalParams",
-    "Trajectory",
-    "bell_target",
-    "default_dt",
-    "effective_all_to_all",
-    "effective_chain",
-    "effective_coupling",
-    "effective_pair_hamiltonian",
-    "gate_unitary",
-    "ghz_target",
-    "hamiltonian_h1_provider",
-    "hamiltonian_h2_provider",
-    "loop_time",
-    "pair_coupling_rate",
-    "rate_to_mhz",
-    "theta_of_schedule",
-    "time_to_us",
-    "trajectory",
-    "DEFAULT_M_SWEEP",
-    "DEFAULT_OMEGA_SCAN",
-    "ScenarioSpec",
-    "SpecError",
-    "run_bell",
-    "run_ghz_sweep",
-    "run_rwa_scan",
-    "run_trajectory",
+    *core.__all__,
+    *dynamics.__all__,
+    *model.__all__,
+    *scenarios.__all__,
     "__version__",
 ]

@@ -38,6 +38,12 @@ __all__ = [
 HamiltonianProvider = Callable[[float], np.ndarray]
 
 
+def _step_count(t_end: float, dt: float) -> int:
+    """Fewest steps no longer than ``dt`` that cover [0, t_end]."""
+    # small slack so exact divisions do not gain a step to roundoff
+    return max(1, math.ceil(t_end / dt - 1e-9))
+
+
 class IntegratorError(RuntimeError):
     """Raised when a propagation run leaves its validity envelope (trace drift, NaN, norm loss)."""
 
@@ -52,8 +58,10 @@ class DecoherenceRates:
 
     def __post_init__(self) -> None:
         for name in ("kappa", "gamma1", "gamma2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+            # NaN passes `< 0` and is not `> 0`, so it would silently switch a channel off
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
     @property
     def any_active(self) -> bool:
@@ -69,6 +77,7 @@ class IntegratorConfig:
     ``t_end``.  When ``max_frequency`` (the fastest oscillation of the
     Hamiltonian, supplied by its provider) is given, construction rejects
     steps that undersample it: dt must be ≤ 2π/(100·max_frequency).
+    Non-finite values are rejected at construction.
     """
 
     dt: float
@@ -77,6 +86,10 @@ class IntegratorConfig:
     max_frequency: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("dt", "t_end", "max_frequency"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end < self.dt:
@@ -93,8 +106,7 @@ class IntegratorConfig:
 
     @property
     def n_steps(self) -> int:
-        # small slack so exact divisions do not gain a step to roundoff
-        return max(1, int(math.ceil(self.t_end / self.dt - 1e-9)))
+        return _step_count(self.t_end, self.dt)
 
     @property
     def dt_effective(self) -> float:
@@ -196,39 +208,32 @@ class _Dissipator:
 
 
 def _rhs(
-    h: np.ndarray | None, rho: np.ndarray, diss: _Dissipator, out: np.ndarray, work: np.ndarray
+    h: np.ndarray, rho: np.ndarray, diss: _Dissipator, out: np.ndarray, work: np.ndarray
 ) -> np.ndarray:
     """Write dρ/dt into ``out``, using ``work`` for the product Hρ; both C-ordered."""
-    if h is None:
-        out.fill(0.0)
-    else:
-        # Hρ - ρH = C - C† for Hermitian H, ρ: one matrix product, not two
-        c = np.matmul(h, rho, out=work)
-        np.conjugate(c.T, out=out)
-        np.subtract(c, out, out=out)
-        out *= -1j
+    # Hρ - ρH = C - C† for Hermitian H, ρ: one matrix product, not two
+    c = np.matmul(h, rho, out=work)
+    np.conjugate(c.T, out=out)
+    np.subtract(c, out, out=out)
+    out *= -1j
     diss.add_to(out, rho)
     return out
 
 
-def _normalize_provider(
-    h_of_t: HamiltonianProvider | np.ndarray | None, dim: int
-) -> HamiltonianProvider | None:
-    if h_of_t is None:
-        return None
-    if isinstance(h_of_t, np.ndarray):
-        h_const = np.asarray(h_of_t, dtype=complex)
-        if h_const.shape != (dim, dim):
-            raise ValueError(f"Hamiltonian shape {h_const.shape} does not match dim {dim}")
-        return lambda t: h_const
+def _check_provider(h_of_t: HamiltonianProvider, dim: int) -> None:
     probe = np.asarray(h_of_t(0.0))
     if probe.shape != (dim, dim):
         raise ValueError(f"Hamiltonian provider returns shape {probe.shape}, expected ({dim}, {dim})")
-    return h_of_t
+
+
+def _gram_drift(x: np.ndarray) -> float:
+    """max|X†X − I| over the columns of a state (dim,) or a block (dim, k)."""
+    cols = x.reshape(x.shape[0], -1)
+    return float(np.abs(cols.conj().T @ cols - np.eye(cols.shape[1])).max())
 
 
 def evolve_lindblad(
-    h_of_t: HamiltonianProvider | np.ndarray | None,
+    h_of_t: HamiltonianProvider,
     rates: DecoherenceRates,
     initial: QuantumState,
     target: np.ndarray | None,
@@ -240,8 +245,9 @@ def evolve_lindblad(
     Parameters
     ----------
     h_of_t:
-        Time-dependent Hamiltonian provider (callable t → matrix), a constant
-        matrix, or None for pure dissipation.
+        Hamiltonian provider, a callable t → H(t) on the joint space; it is
+        called once at t=0 to check the shape, then three times per step.
+        Pure dissipation takes a provider of zeros.
     rates:
         Lindblad rates; all-zero rates reduce the equation to the von Neumann
         equation.
@@ -269,7 +275,7 @@ def evolve_lindblad(
     """
     space = initial.space
     dim = space.dim
-    h = _normalize_provider(h_of_t, dim)
+    _check_provider(h_of_t, dim)
     if target is not None:
         target = np.asarray(target, dtype=complex).reshape(-1)
         if target.size != space.qubit_dim:
@@ -317,9 +323,9 @@ def evolve_lindblad(
     half_dt = 0.5 * dt
     for step in range(1, n_steps + 1):
         t0 = (step - 1) * dt
-        h0 = h(t0) if h else None
-        hm = h(t0 + half_dt) if h else None
-        h1 = h(t0 + dt) if h else None
+        h0 = h_of_t(t0)
+        hm = h_of_t(t0 + half_dt)
+        h1 = h_of_t(t0 + dt)
         _rhs(h0, rho, diss, k1, work)
         np.add(rho, np.multiply(k1, half_dt, out=stage), out=stage)
         _rhs(hm, stage, diss, k2, work)
@@ -368,43 +374,39 @@ def evolve_lindblad(
 
 
 def evolve_unitary(
-    h_of_t: HamiltonianProvider | np.ndarray | None,
+    h_of_t: HamiltonianProvider,
     initial: np.ndarray,
     cfg: IntegratorConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate a pure state, returning (final state, accumulated propagator).
+) -> np.ndarray:
+    """Propagate a state (dim,) or a block of orthonormal columns (dim, k).
 
     Each step applies exp(-i H(t_mid) dt) with the Hamiltonian evaluated at
-    the step midpoint, so the propagator is a product of exact exponentials
-    and stays unitary to machine precision for Hermitian H.
+    the step midpoint, a product of exact exponentials that stays unitary to
+    machine precision for Hermitian H.  The result has the shape of
+    ``initial``; passing ``np.eye(dim)`` returns the propagator U(t_end).
 
     Raises
     ------
+    ValueError
+        If the columns of ``initial`` are not orthonormal (a state not
+        normalized) to 1e-8, or the provider's shape does not match.
     IntegratorError
-        If the state norm or the propagator's unitarity drifts beyond 1e-8.
+        On non-finite values, or if max|X†X − I| drifts beyond 1e-8.
     """
-    psi = np.asarray(initial, dtype=complex).reshape(-1)
-    dim = psi.size
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
-        raise ValueError("initial state must be normalized")
-    h = _normalize_provider(h_of_t, dim)
+    x = np.asarray(initial, dtype=complex)
+    if x.ndim not in (1, 2) or _gram_drift(x) > 1e-8:
+        raise ValueError("initial state must be normalized, a block must have orthonormal columns")
+    _check_provider(h_of_t, x.shape[0])
     n_steps = cfg.n_steps
     dt = cfg.dt_effective
-    u = np.eye(dim, dtype=complex)
     for step in range(n_steps):
-        if h is not None:
-            step_u = matexp(-1j * dt * h((step + 0.5) * dt))
-            u = step_u @ u
-            psi = step_u @ psi
-        if not np.all(np.isfinite(psi)):
+        x = matexp(-1j * dt * h_of_t((step + 0.5) * dt)) @ x
+        if not np.all(np.isfinite(x)):
             raise IntegratorError(f"non-finite state at step {step + 1}/{n_steps}")
-    norm_dev = abs(np.linalg.norm(psi) - 1.0)
-    if norm_dev > 1e-8:
-        raise IntegratorError(f"state norm drifted by {norm_dev:.3e} over {n_steps} steps")
-    unit_dev = np.abs(u.conj().T @ u - np.eye(dim)).max()
-    if unit_dev > 1e-8:
-        raise IntegratorError(f"propagator unitarity drifted by {unit_dev:.3e}")
-    return psi, u
+    drift = _gram_drift(x)
+    if drift > 1e-8:
+        raise IntegratorError(f"max|X†X - I| drifted to {drift:.3e} over {n_steps} steps")
+    return x
 
 
 def fidelity(rho_q: np.ndarray, target: np.ndarray) -> float:

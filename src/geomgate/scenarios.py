@@ -30,6 +30,7 @@ from .core import (
 from .dynamics import (
     DecoherenceRates,
     IntegratorConfig,
+    _step_count,
     evolve_lindblad,
     evolve_unitary,
     max_fidelity,
@@ -67,6 +68,10 @@ _FLOAT_FIELDS = (
     "dt_override",
     "eta_mhz",
 )
+# IntegratorConfig recounts the steps from dt = t_end/n; t_end/(t_end/n) carries
+# two roundings of 2^-53 each, which beat the 1e-9 slack of the count from
+# n ≈ 4.5e6 on and would add a step to the plan.  Longer plans are refused.
+_MAX_STEPS = 4_000_000
 
 
 class SpecError(ValueError):
@@ -197,15 +202,16 @@ def _plan(
     The step count is raised to ``min_steps`` and then to a multiple of
     ``step_multiple``; the stride keeps about ``records`` records (all when 0).
     A dt or t_end that is not positive and finite (a tiny δ overflows t_end, a
-    huge Ω underflows the default dt) and a plan the integrator rejects are
-    spec errors.
+    huge Ω underflows the default dt), a plan of more than ``_MAX_STEPS``
+    steps and a plan the integrator rejects are spec errors.
     """
     dt = spec.dt_override if spec.dt_override is not None else default_dt(drive)
     if not (0 < dt < math.inf and 0 < t_end < math.inf and t_end / dt < math.inf):
         raise SpecError(f"no finite step plan for dt={dt!r} over t_end={t_end!r}")
-    # small slack so exact divisions do not gain a step to roundoff
-    n_steps = max(min_steps, math.ceil(t_end / dt - 1e-9))
+    n_steps = max(min_steps, _step_count(t_end, dt))
     n_steps += -n_steps % step_multiple  # round up to a multiple
+    if n_steps > _MAX_STEPS:
+        raise SpecError(f"step plan needs {n_steps} steps, more than the {_MAX_STEPS} allowed")
     stride = max(1, n_steps // records) if records else 1
     try:
         return IntegratorConfig(
@@ -384,8 +390,8 @@ def _rwa_point(omega: float, spec: ScenarioSpec, space: HilbertSpace) -> dict:
     approx = hamiltonian_h2_provider(drive, space)
     cfg = _plan(spec, drive, full, loop_time(delta, spec.n_loops))
     psi0 = ground_state(space)
-    psi_full, _ = evolve_unitary(full, psi0, cfg)
-    psi_approx, _ = evolve_unitary(approx, psi0, cfg)
+    psi_full = evolve_unitary(full, psi0, cfg)
+    psi_approx = evolve_unitary(approx, psi0, cfg)
     infid = 1.0 - abs(np.vdot(psi_approx, psi_full)) ** 2
     return {"omega": omega, "infidelity": float(infid)}
 

@@ -19,7 +19,6 @@ from geomgate.core import (
     displaced_vacuum,
     embed,
     fock_state,
-    ground_state,
     partial_trace_cavity,
 )
 from geomgate.dynamics import (
@@ -132,7 +131,7 @@ def _unitary_bell_fidelity(cavity_psi: np.ndarray) -> float:
     cfg = IntegratorConfig(dt=tau / 800, t_end=tau, max_frequency=provider.max_frequency)
     qubits = np.zeros(4, dtype=complex)
     qubits[0] = 1.0
-    psi, _ = evolve_unitary(provider, np.kron(qubits, cavity_psi), cfg)
+    psi = evolve_unitary(provider, np.kron(qubits, cavity_psi), cfg)
     rho_q = partial_trace_cavity(np.outer(psi, psi.conj()), space)
     return fidelity(rho_q, bell_target())
 
@@ -166,7 +165,7 @@ def test_criterion_3_gate_equivalence():
     provider = hamiltonian_h2_provider(drive, space)
     tau = loop_time(4.0)
     cfg = IntegratorConfig(dt=tau / 1600, t_end=tau, max_frequency=provider.max_frequency)
-    _, u = evolve_unitary(provider, ground_state(space), cfg)
+    u = evolve_unitary(provider, np.eye(space.dim), cfg)
     theta = theta_of_schedule(1.0, 4.0)
     assert theta == pytest.approx(math.pi / 4)
     dist = propagator_gate_distance(u, gate_unitary(theta, 2), space, n_fock_keep=4)
@@ -225,7 +224,7 @@ def test_criterion_7_solver_oracles():
     a = annihilation(10)
     cfg = IntegratorConfig(dt=0.01, t_end=3.0 / kappa, record_stride=5)
     res_c = evolve_lindblad(
-        None,
+        lambda t: np.zeros((cav.dim, cav.dim), dtype=complex),
         DecoherenceRates(kappa=kappa),
         QuantumState.from_pure(cav, fock_state(10, 1)),
         None,
@@ -240,7 +239,7 @@ def test_criterion_7_solver_oracles():
     psi = np.kron(np.array([0.0, 1.0], dtype=complex), fock_state(2, 0))
     cfg = IntegratorConfig(dt=0.01, t_end=3.0 / gamma1, record_stride=5)
     res_q = evolve_lindblad(
-        None,
+        lambda t: np.zeros((qub.dim, qub.dim), dtype=complex),
         DecoherenceRates(gamma1=gamma1),
         QuantumState.from_pure(qub, psi),
         np.array([0.0, 1.0], dtype=complex),

@@ -38,6 +38,11 @@ from geomgate.model import (
 RNG = np.random.default_rng(7)
 
 
+def _zero_provider(dim):
+    h = np.zeros((dim, dim), dtype=complex)
+    return lambda t: h
+
+
 def _random_density(dim):
     a = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
     rho = a @ a.conj().T
@@ -74,6 +79,11 @@ class TestDecoherenceRates:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             DecoherenceRates(kappa=-0.1)
+        # NaN passes `< 0`; it must not silently switch a channel off
+        for name in ("kappa", "gamma1", "gamma2"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    DecoherenceRates(**{name: bad})
 
     def test_activity_flag(self):
         assert not DecoherenceRates().any_active
@@ -88,6 +98,12 @@ class TestIntegratorConfig:
             IntegratorConfig(dt=0.5, t_end=0.1)
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.1, t_end=1.0, record_stride=0)
+        for bad in (math.nan, math.inf, -math.inf):
+            for kwargs in ({"dt": bad, "t_end": 1.0}, {"dt": 0.1, "t_end": bad}):
+                with pytest.raises(ValueError, match="finite"):
+                    IntegratorConfig(**kwargs)
+            with pytest.raises(ValueError, match="finite"):
+                IntegratorConfig(dt=0.1, t_end=1.0, max_frequency=bad)
 
     def test_rejects_undersampling(self):
         # 100 samples per fastest cycle is the floor
@@ -144,7 +160,7 @@ class TestLindbladOracles:
         n_op = embed(a.conj().T @ a, CAVITY, space)
         cfg = IntegratorConfig(dt=0.01, t_end=2.0, record_stride=10)
         res = evolve_lindblad(
-            None,
+            _zero_provider(space.dim),
             DecoherenceRates(kappa=kappa),
             QuantumState.from_pure(space, fock_state(10, 1)),
             None,
@@ -161,7 +177,7 @@ class TestLindbladOracles:
         psi = np.kron(np.array([0.0, 1.0], dtype=complex), fock_state(2, 0))
         cfg = IntegratorConfig(dt=0.01, t_end=3.0, record_stride=10)
         res = evolve_lindblad(
-            None,
+            _zero_provider(space.dim),
             DecoherenceRates(gamma1=gamma1),
             QuantumState.from_pure(space, psi),
             np.array([0.0, 1.0], dtype=complex),
@@ -177,7 +193,7 @@ class TestLindbladOracles:
         sx = embed(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), 1, space)
         cfg = IntegratorConfig(dt=0.005, t_end=2.0, record_stride=20)
         res = evolve_lindblad(
-            None,
+            _zero_provider(space.dim),
             DecoherenceRates(gamma2=gamma2),
             QuantumState.from_pure(space, plus),
             None,
@@ -200,7 +216,7 @@ class TestLindbladOracles:
         res = evolve_lindblad(
             provider, DecoherenceRates(), QuantumState.from_pure(space, psi0), None, cfg
         )
-        psi, _ = evolve_unitary(provider, psi0, cfg)
+        psi = evolve_unitary(provider, psi0, cfg)
         np.testing.assert_allclose(
             res.final_rho, np.outer(psi, psi.conj()), atol=1e-8
         )
@@ -209,7 +225,7 @@ class TestLindbladOracles:
         space = HilbertSpace(0, 4)
         cfg = IntegratorConfig(dt=0.1, t_end=1.0, record_stride=3)
         res = evolve_lindblad(
-            None,
+            _zero_provider(space.dim),
             DecoherenceRates(kappa=0.2),
             QuantumState.from_pure(space, fock_state(4, 1)),
             None,
@@ -225,10 +241,15 @@ class TestLindbladOracles:
         state = QuantumState.from_pure(space, ground_state(space))
         cfg = IntegratorConfig(dt=0.1, t_end=0.5)
         with pytest.raises(ValueError, match="target"):
-            evolve_lindblad(None, DecoherenceRates(), state, np.ones(3), cfg)
+            evolve_lindblad(_zero_provider(4), DecoherenceRates(), state, np.ones(3), cfg)
         with pytest.raises(ValueError, match="observable"):
             evolve_lindblad(
-                None, DecoherenceRates(), state, None, cfg, observables={"bad": np.eye(3)}
+                _zero_provider(4),
+                DecoherenceRates(),
+                state,
+                None,
+                cfg,
+                observables={"bad": np.eye(3)},
             )
 
     def test_aborts_on_non_finite_hamiltonian(self):
@@ -268,7 +289,9 @@ class TestLindbladOracles:
 class TestEvolveUnitary:
     def test_no_hamiltonian_gives_identity(self):
         psi = np.array([1.0, 0.0], dtype=complex)
-        out, u = evolve_unitary(None, psi, IntegratorConfig(dt=0.1, t_end=1.0))
+        cfg = IntegratorConfig(dt=0.1, t_end=1.0)
+        out = evolve_unitary(_zero_provider(2), psi, cfg)
+        u = evolve_unitary(_zero_provider(2), np.eye(2), cfg)
         np.testing.assert_allclose(u, np.eye(2), atol=1e-15)
         np.testing.assert_allclose(out, psi, atol=1e-15)
 
@@ -276,7 +299,9 @@ class TestEvolveUnitary:
         omega, t_end = 1.7, 2.0
         h = 0.5 * omega * SIGMA_Z
         psi0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-        psi, u = evolve_unitary(h, psi0, IntegratorConfig(dt=0.01, t_end=t_end))
+        cfg = IntegratorConfig(dt=0.01, t_end=t_end)
+        psi = evolve_unitary(lambda t: h, psi0, cfg)
+        u = evolve_unitary(lambda t: h, np.eye(2), cfg)
         expected_u = np.diag(
             [np.exp(-0.5j * omega * t_end), np.exp(0.5j * omega * t_end)]
         )
@@ -285,13 +310,37 @@ class TestEvolveUnitary:
 
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ValueError, match="normalized"):
-            evolve_unitary(None, np.array([1.0, 1.0]), IntegratorConfig(dt=0.1, t_end=1.0))
+            evolve_unitary(
+                _zero_provider(2), np.array([1.0, 1.0]), IntegratorConfig(dt=0.1, t_end=1.0)
+            )
 
-    def test_detects_norm_drift_from_non_hermitian_generator(self):
+    def test_rejects_non_orthonormal_block(self):
+        block = np.array([[1.0, 1.0], [0.0, 1.0]]) / np.array([1.0, math.sqrt(2.0)])
+        with pytest.raises(ValueError, match="normalized"):
+            evolve_unitary(_zero_provider(2), block, IntegratorConfig(dt=0.1, t_end=1.0))
+
+    def test_identity_block_matches_basis_vectors(self):
+        # the block product (BLAS gemm) and the vector product (gemv) may sum
+        # in different orders, so the columns agree to roundoff, not bitwise
+        space = HilbertSpace(1, 4)
+        provider = hamiltonian_h2_provider(DriveParams((1.0,), (0.0,), 4.0), space)
+        cfg = IntegratorConfig(dt=loop_time(4.0) / 100, t_end=loop_time(4.0))
+        u = evolve_unitary(provider, np.eye(space.dim), cfg)
+        assert u.shape == (space.dim, space.dim)
+        for j, basis in enumerate(np.eye(space.dim)):
+            psi = evolve_unitary(provider, basis, cfg)
+            assert psi.shape == (space.dim,)
+            np.testing.assert_allclose(u[:, j], psi, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "initial",
+        [np.array([0.0, 1.0], dtype=complex), np.eye(2, dtype=complex)],
+        ids=["vector", "block"],
+    )
+    def test_detects_norm_drift_from_non_hermitian_generator(self, initial):
         h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # nilpotent, not Hermitian
-        psi0 = np.array([0.0, 1.0], dtype=complex)
         with pytest.raises(IntegratorError):
-            evolve_unitary(h, psi0, IntegratorConfig(dt=0.05, t_end=2.0))
+            evolve_unitary(lambda t: h, initial, IntegratorConfig(dt=0.05, t_end=2.0))
 
 
 class TestFidelity:
@@ -378,7 +427,7 @@ class TestGateEquivalence:
         cfg = IntegratorConfig(
             dt=tau / steps, t_end=tau, max_frequency=provider.max_frequency
         )
-        _, u = evolve_unitary(provider, ground_state(space), cfg)
+        u = evolve_unitary(provider, np.eye(space.dim), cfg)
         gate = gate_unitary(theta_of_schedule(1.0, delta), n_qubits)
         dist = propagator_gate_distance(u, gate, space, n_fock_keep=4)
         assert dist < 1e-4
@@ -402,6 +451,6 @@ class TestGateEquivalence:
         provider = hamiltonian_h2_provider(drive, space)
         tau = loop_time(4.0)
         cfg = IntegratorConfig(dt=tau / 800, t_end=tau, max_frequency=provider.max_frequency)
-        psi, _ = evolve_unitary(provider, ground_state(space), cfg)
+        psi = evolve_unitary(provider, ground_state(space), cfg)
         pops = np.abs(psi.reshape(4, 16)) ** 2
         assert pops[:, 1:].sum() < 1e-8

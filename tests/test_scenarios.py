@@ -268,8 +268,9 @@ FLOAT_FLAGS = (
     "--gamma2-over-eta",
     "--dt-over-eta",
 )
-# values that have crashed or fooled the runners: NaN, ±inf, zero, negative, subnormal
-EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-320])
+# values that have crashed, fooled or stalled the runners: NaN, ±inf, zero,
+# negative, subnormal, and a tiny dt that plans about 10^12 steps
+EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-320, 1e-12])
 
 
 class TestCli:
@@ -292,6 +293,9 @@ class TestCli:
             ["bell", "--delta-over-eta", "1e-320"],
             [*RWA_SMALL, "--omega-values", "1e308"],
             ["bell", "--dt-over-eta", "1e-320"],
+            # more steps than the step-count envelope allows (about 1.6e12 and 1.6e7)
+            ["bell", "--dt-over-eta", "1e-12"],
+            ["bell", "--dt-over-eta", "1e-7"],
         ],
     )
     def test_invalid_spec_exits_two(self, tmp_path, args):
@@ -333,9 +337,8 @@ class TestCli:
 
         Floats come from moderate ranges, with up to two replaced by edge values,
         so that many examples get past validation and run.  dt is drawn from 1e-2
-        up so that no example runs more than a few thousand steps.  A far smaller
-        dt (1e-12, about 10^12 steps) is accepted today and runs for hours:
-        refusing it needs a step-count envelope, still an open ROADMAP item.
+        up so that no example runs more than a few thousand steps; the edge dt
+        1e-12 (about 10^12 steps) must be refused by the step-count envelope.
         """
         values = {**dict(zip(FLOAT_FLAGS, [delta, *rates, dt])), **edges}
         argv = [
