@@ -13,6 +13,7 @@ from geomgate.core import (
     embed,
     fock_state,
     ground_state,
+    matexp,
 )
 from geomgate.dynamics import (
     DecoherenceRates,
@@ -29,9 +30,11 @@ from geomgate.dynamics import (
 )
 from geomgate.model import (
     DriveParams,
+    effective_all_to_all,
     gate_unitary,
     hamiltonian_h2_provider,
     loop_time,
+    pair_coupling_rate,
     theta_of_schedule,
 )
 
@@ -342,6 +345,36 @@ class TestEvolveUnitary:
         with pytest.raises(IntegratorError):
             evolve_unitary(lambda t: h, initial, IntegratorConfig(dt=0.05, t_end=2.0))
 
+    @pytest.mark.parametrize("theta", [0.0, 1e-3, 0.5, 3.7, 40.0])
+    @pytest.mark.parametrize("dim", [8, 64])
+    def test_step_matches_matexp_oracle(self, dim, theta):
+        # one step at θ = dt·‖H‖₁; θ > 1 takes ⌈θ⌉ substeps.  Tolerance: the
+        # Taylor remainder is ≤ 2⁻⁵³ per substep, so only roundoff is left
+        h = _random_hermitian(dim) if theta else np.zeros((dim, dim), dtype=complex)
+        dt = theta / np.abs(h).sum(axis=0).max() if theta else 0.1
+        cfg = IntegratorConfig(dt=dt, t_end=dt)
+        assert cfg.n_steps == 1
+        psi = RNG.normal(size=dim) + 1j * RNG.normal(size=dim)
+        block, _ = np.linalg.qr(RNG.normal(size=(dim, 3)) + 1j * RNG.normal(size=(dim, 3)))
+        step = matexp(-1j * cfg.dt_effective * h)
+        for x in (psi / np.linalg.norm(psi), block):
+            np.testing.assert_allclose(
+                evolve_unitary(lambda t: h, x, cfg), step @ x, rtol=0, atol=1e-13
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("initial", [np.eye(4)[0], np.eye(4)[:, :2]], ids=["vector", "block"])
+    def test_non_finite_hamiltonian_aborts_with_step(self, bad, initial):
+        h_bad = np.zeros((4, 4), dtype=complex)
+        h_bad[1, 2] = bad
+
+        def provider(t):
+            # finite at the first two midpoints (0.05, 0.15), then one bad entry
+            return h_bad if t > 0.2 else np.zeros((4, 4), dtype=complex)
+
+        with pytest.raises(IntegratorError, match="non-finite Hamiltonian at step 3/5"):
+            evolve_unitary(provider, initial, IntegratorConfig(dt=0.1, t_end=0.5))
+
 
 class TestFidelity:
     def test_pure_state_against_itself(self):
@@ -431,6 +464,27 @@ class TestGateEquivalence:
         gate = gate_unitary(theta_of_schedule(1.0, delta), n_qubits)
         dist = propagator_gate_distance(u, gate, space, n_fock_keep=4)
         assert dist < 1e-4
+
+    @pytest.mark.parametrize(
+        "phis", [(0.3, 1.0), (0.0, math.pi / 2), (0.2, -0.4, 1.3)], ids=str
+    )
+    def test_drive_phases_tune_the_pair_coupling(self, phis):
+        # the paper's claim: after one closed loop the register sees
+        # H_eff = λ Σ_{j<k} cos(φ_j − φ_k) σ_j^x σ_k^x with λ = 2η²/δ.  The
+        # vacuum-projected loop propagator must equal exp(−iτ·H_eff) up to a
+        # global phase within 1e-5 (cavity truncation at d=16, 1600 steps)
+        n, d, delta = len(phis), 16, 4.0
+        space = HilbertSpace(n, d)
+        provider = hamiltonian_h2_provider(DriveParams((1.0,) * n, phis, delta), space)
+        tau = loop_time(delta)
+        cfg = IntegratorConfig(dt=tau / 1600, t_end=tau, max_frequency=provider.max_frequency)
+        vacuum_columns = np.eye(space.dim)[:, ::d]  # qubit basis ⊗ |0⟩_cav
+        block = evolve_unitary(provider, vacuum_columns, cfg)[::d]
+        h_eff = effective_all_to_all(pair_coupling_rate(1.0, delta), phis, HilbertSpace(n, 1))
+        expected = matexp(-1j * tau * h_eff)
+        overlap = np.vdot(expected, block)
+        block = block * (overlap.conjugate() / abs(overlap))
+        assert np.abs(block - expected).max() < 1e-5
 
     def test_distance_is_phase_insensitive(self):
         space = HilbertSpace(1, 3)

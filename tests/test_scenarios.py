@@ -173,6 +173,22 @@ class TestBellScenario:
         )
         assert run_bell(spec)["final_fidelity"] >= 1.0 - 1e-4
 
+    @pytest.mark.parametrize("dphi", [0.0, 0.5, 1.0, math.pi / 2, 2.5])
+    def test_phase_difference_tunes_the_gate(self, tmp_path, dphi):
+        # a phase difference Δφ scales the gate angle to θ = (π/4)·cos Δφ, so
+        # without decoherence F = |⟨bell|e^{-iθσxσx}|00⟩|² = (1 + sin 2θ)/2
+        spec = ScenarioSpec(
+            kind="bell",
+            phis=(0.0, dphi),
+            kappa_over_eta=0.0,
+            gamma1_over_eta=0.0,
+            gamma2_over_eta=0.0,
+            output_path=str(tmp_path / "phase.csv"),
+        )
+        theta = 0.25 * math.pi * math.cos(dphi)
+        expected = 0.5 * (1.0 + math.sin(2.0 * theta))
+        assert run_bell(spec)["final_fidelity"] == pytest.approx(expected, abs=1e-6)
+
 
 class TestTrajectoryScenario:
     def test_simulation_tracks_closed_form(self, tmp_path):
