@@ -30,9 +30,7 @@ import scipy.linalg
 __all__ = [
     "CAVITY",
     "SIGMA_X",
-    "SIGMA_Y",
     "SIGMA_Z",
-    "SIGMA_PLUS",
     "SIGMA_MINUS",
     "IDENTITY_2",
     "HilbertSpace",
@@ -53,10 +51,7 @@ __all__ = [
 CAVITY = "cavity"
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-#: Raising operator |1⟩⟨0|.
-SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 #: Lowering operator |0⟩⟨1|.
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)

@@ -6,11 +6,11 @@ The master equation integrated here is
 
 with L(A)ρ = 2AρA† - A†Aρ - ρA†A.  The sign convention i[ρ, H] equals the
 standard -i[H, ρ].  Propagation is fixed-step classical 4th-order (RK4) on
-the full density matrix.  The dissipator is applied in place through an
-elementwise mask and strided views of ρ rather than superoperator matrices
-or index gathers, and every RK4 stage writes into buffers allocated once per
-run, so a right-hand side costs a single dense matrix product plus
-elementwise passes.
+the full density matrix, and every RK4 stage writes into buffers allocated
+once per run.  A right-hand side is E + E† + D(ρ): E = −i·H(t)·ρ comes from
+the provider's factored product (two cavity shifts of ρ and one register
+product, no dense H(t)), and D is one sparse superoperator on vec(ρ) built
+once per run.
 
 Closed-system propagation takes midpoint steps exp(−i·dt·H(t_mid)) and
 applies each exponential to the propagated array by a truncated Taylor series
@@ -40,6 +40,7 @@ __all__ = [
     "propagator_gate_distance",
 ]
 
+# t ↦ H(t); evolve_lindblad also needs its ``minus_i_h_rho`` attribute (see model)
 HamiltonianProvider = Callable[[float], np.ndarray]
 
 
@@ -158,69 +159,87 @@ class EvolutionResult:
 
 
 class _Dissipator:
-    """Precomputed mask and views applying the Lindblad dissipator in place.
+    """The Lindblad dissipator as one sparse superoperator on vec(ρ), built once.
 
-    Exploits the fixed layout i = q·d + n: the anticommutator of the (diagonal)
-    decay generators and the full dephasing channel collapse into one real
-    elementwise mask.  The jump σ_j⁻ρσ_j⁺ of qubit j is an add between two
-    blocks of ρ viewed with shape (2^(j-1), 2, 2^(N-j)·d) on each axis, and the
-    cavity jump is a shifted, √n-weighted block of ρ viewed as (2^N, d, 2^N, d).
+    With the layout i = q·d + n and vec(ρ)[i·dim + k] = ρ[i, k] (C order), each
+    channel is one shifted diagonal of the superoperator.  The decay
+    anticommutators and the full dephasing channel give the main diagonal;
+    the jump σ_j⁻ρσ_j⁺ of qubit j adds γ₁·ρ[i + b, k + b] to ρ[i, k] where
+    qubit j is |0⟩ on both sides, with b = 2^(N-j)·d; the cavity jump adds
+    κ√((n+1)(n'+1))·ρ[i + 1, k + 1] below the truncation edge.  The channels
+    are written straight into CSR arrays with int32 indices, row by row in
+    ascending column order.
     """
 
     def __init__(self, rates: DecoherenceRates, space: HilbertSpace) -> None:
-        self.rates = rates
         self.active = rates.any_active
         if not self.active:
             return
+        # imported here: closed-system runs build no dissipator, and the import costs ~1.7 MB
+        import scipy.sparse
+
         nq, d, dim = space.n_qubits, space.cavity_dim, space.dim
-        self._shape4 = (2**nq, d, 2**nq, d)
         idx = np.arange(dim)
         fock = idx % d
         # anticommutator diagonal: (κ/2)a†a + (γ₁/2)Σ_j |1⟩⟨1|_j
         mdiag = 0.5 * rates.kappa * fock.astype(float)
-        dephase = np.zeros((dim, dim))
-        self._jump_shapes: list[tuple[int, ...]] = []
+        main = np.zeros((dim, dim))
+        # (offset in vec(ρ), (dim, dim) rate of the channel, 0 where it does not act)
+        channels: list[tuple[int, np.ndarray]] = []
         for j in range(1, nq + 1):
             bit = (idx // d >> (nq - j)) & 1
             mdiag = mdiag + 0.5 * rates.gamma1 * bit
             if rates.gamma2 > 0:
                 sz = 1.0 - 2.0 * bit
-                dephase += rates.gamma2 * (np.outer(sz, sz) - 1.0)
+                main += rates.gamma2 * (np.outer(sz, sz) - 1.0)
             if rates.gamma1 > 0:
-                axis = (2 ** (j - 1), 2, 2 ** (nq - j) * d)
-                self._jump_shapes.append(axis + axis)
-        # fused mask: dephasing jump+anticommutator and decay anticommutators
-        self._mask = dephase - (mdiag[:, None] + mdiag[None, :])
-        self._masked = np.empty((dim, dim), dtype=complex)
-        self._cavity_jump = rates.kappa > 0 and d >= 2
-        if self._cavity_jump:
-            w = np.sqrt(np.arange(1.0, d))
-            self._cavity_weights = rates.kappa * (w[:, None] * w[None, :])
+                free = 1.0 - bit
+                shift = 2 ** (nq - j) * d * (dim + 1)
+                channels.append((shift, rates.gamma1 * np.outer(free, free)))
+        if rates.kappa > 0 and d >= 2:
+            w = np.where(fock < d - 1, np.sqrt(fock + 1.0), 0.0)
+            channels.append((dim + 1, rates.kappa * np.outer(w, w)))
+        main -= mdiag[:, None] + mdiag[None, :]
+        channels.append((0, main))
+        channels.sort(key=lambda c: c[0])
+
+        rows = dim * dim
+        counts = np.zeros(rows, dtype=np.int32)
+        for _, rate in channels:
+            counts += rate.reshape(-1) != 0
+        indptr = np.zeros(rows + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        # complex, like vec(ρ): a real matrix would be cast on every product
+        data = np.empty(indptr[-1], dtype=complex)
+        fill = indptr[:-1].copy()
+        for offset, rate in channels:
+            flat = rate.reshape(-1)
+            at = np.flatnonzero(flat)
+            slots = fill[at]
+            indices[slots] = at + offset
+            data[slots] = flat[at]
+            fill[at] += 1
+        self._superop = scipy.sparse.csr_array((data, indices, indptr), shape=(rows, rows))
 
     def add_to(self, out: np.ndarray, rho: np.ndarray) -> None:
-        if not self.active:
-            return
-        out += np.multiply(self._mask, rho, out=self._masked)
-        g1 = self.rates.gamma1
-        for shape in self._jump_shapes:
-            o6 = out.reshape(shape)
-            r6 = rho.reshape(shape)
-            o6[:, 0, :, :, 0, :] += g1 * r6[:, 1, :, :, 1, :]
-        if self._cavity_jump:
-            o4 = out.reshape(self._shape4)
-            r4 = rho.reshape(self._shape4)
-            o4[:, :-1, :, :-1] += self._cavity_weights[None, :, None, :] * r4[:, 1:, :, 1:]
+        if self.active:
+            out += (self._superop @ rho.reshape(-1)).reshape(out.shape)
 
 
 def _rhs(
-    h: np.ndarray, rho: np.ndarray, diss: _Dissipator, out: np.ndarray, work: np.ndarray
+    h_of_t: HamiltonianProvider,
+    t: float,
+    rho: np.ndarray,
+    diss: _Dissipator,
+    out: np.ndarray,
+    work: np.ndarray,
 ) -> np.ndarray:
-    """Write dρ/dt into ``out``, using ``work`` for the product Hρ; both C-ordered."""
-    # Hρ - ρH = C - C† for Hermitian H, ρ: one matrix product, not two
-    c = np.matmul(h, rho, out=work)
-    np.conjugate(c.T, out=out)
-    np.subtract(c, out, out=out)
-    out *= -1j
+    """Write dρ/dt at time t into ``out``, using ``work`` for E = −i·H(t)·ρ; all C-ordered."""
+    # -i[H, ρ] = E + E† for Hermitian H, ρ: one product, not two, and no -i pass
+    e = h_of_t.minus_i_h_rho(t, rho, work)  # type: ignore[attr-defined]
+    np.conjugate(e.T, out=out)
+    out += e
     diss.add_to(out, rho)
     return out
 
@@ -277,9 +296,11 @@ def evolve_lindblad(
     Parameters
     ----------
     h_of_t:
-        Hamiltonian provider, a callable t → H(t) on the joint space; it is
-        called once at t=0 to check the shape, then three times per step.
-        Pure dissipation takes a provider of zeros.
+        Hamiltonian provider, a callable t → H(t) on the joint space with a
+        ``minus_i_h_rho(t, rho, out)`` attribute that writes −i·H(t)·ρ into
+        ``out`` (the providers of :mod:`geomgate.model` carry it).  H(t) is
+        built once, at t=0, to check the shape; every step takes only
+        ``minus_i_h_rho``, four times.
     rates:
         Lindblad rates; all-zero rates reduce the equation to the von Neumann
         equation.
@@ -302,12 +323,16 @@ def evolve_lindblad(
 
     Raises
     ------
+    TypeError
+        If the provider has no ``minus_i_h_rho``.
     IntegratorError
         On trace drift beyond 1e-6 or non-finite values (with step context).
     """
     space = initial.space
     dim = space.dim
     _check_provider(h_of_t, dim)
+    if not callable(getattr(h_of_t, "minus_i_h_rho", None)):
+        raise TypeError("evolve_lindblad needs a provider with a minus_i_h_rho attribute")
     if target is not None:
         target = np.asarray(target, dtype=complex).reshape(-1)
         if target.size != space.qubit_dim:
@@ -325,9 +350,9 @@ def evolve_lindblad(
     dt = cfg.dt_effective
     stride = cfg.record_stride
 
-    # C order: the dissipator writes through reshaped views of each stage
+    # C order: the provider and the dissipator read each stage through reshaped views
     rho = np.array(initial.rho, dtype=complex, order="C")
-    # RK4 stages, the stage state and the Hρ / ρ† scratch, reused every step
+    # RK4 stages, the stage state and the -iHρ / ρ† scratch, reused every step
     k1, k2, k3, k4, stage, work = (np.empty_like(rho) for _ in range(6))
     times: list[float] = []
     fids: list[float] = []
@@ -355,16 +380,13 @@ def evolve_lindblad(
     half_dt = 0.5 * dt
     for step in range(1, n_steps + 1):
         t0 = (step - 1) * dt
-        h0 = h_of_t(t0)
-        hm = h_of_t(t0 + half_dt)
-        h1 = h_of_t(t0 + dt)
-        _rhs(h0, rho, diss, k1, work)
+        _rhs(h_of_t, t0, rho, diss, k1, work)
         np.add(rho, np.multiply(k1, half_dt, out=stage), out=stage)
-        _rhs(hm, stage, diss, k2, work)
+        _rhs(h_of_t, t0 + half_dt, stage, diss, k2, work)
         np.add(rho, np.multiply(k2, half_dt, out=stage), out=stage)
-        _rhs(hm, stage, diss, k3, work)
+        _rhs(h_of_t, t0 + half_dt, stage, diss, k3, work)
         np.add(rho, np.multiply(k3, dt, out=stage), out=stage)
-        _rhs(h1, stage, diss, k4, work)
+        _rhs(h_of_t, t0 + dt, stage, diss, k4, work)
         # rho + (dt/6)·(k1 + 2·(k2 + k3) + k4), accumulated in k1
         np.add(k2, k3, out=k2)
         k2 *= 2.0

@@ -8,6 +8,7 @@ reference point η = 2π × 10 MHz.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -16,7 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    CAVITY,
     SIGMA_X,
     HilbertSpace,
     annihilation,
@@ -148,66 +148,119 @@ def _check_space(drive: DriveParams, space: HilbertSpace) -> None:
         raise ValueError("drive Hamiltonians need a non-trivial cavity (cavity_dim >= 2)")
 
 
+def _drive_provider(
+    terms: Sequence[tuple[np.ndarray, float]], space: HilbertSpace
+) -> Callable[[float], np.ndarray]:
+    """Provider of H(t) = Σ_k e^{iω_k t}·S_k⊗a + h.c. from its (S_k, ω_k) terms.
+
+    Each S_k is a 2^N×2^N register operator.  The returned callable gives the
+    dense H(t), as :func:`~geomgate.dynamics.evolve_unitary` needs, and carries
+    two attributes, so they survive a caller that re-wraps the function and
+    copies its ``__dict__``:
+
+    * ``max_frequency``, the largest |ω_k|, for integrator-step validation;
+    * ``minus_i_h_rho(t, rho, out)``, which writes −i·H(t)·ρ into ``out`` (both
+      C-ordered (dim, dim)) without forming H(t).  a and a† act on ρ as two
+      √n-weighted row shifts, stacked into T of shape (2^(N+1), d·dim), and
+      the register side is one product A(t)·T with the 2^N × 2^(N+1) matrix
+      A(t) = −i·[Σ_k z_k S_k, Σ_k z̄_k S_k†], z_k = e^{iω_k t}.  T lives in one
+      buffer owned by the provider, so one provider must not be applied from
+      two threads at once.
+    """
+    q, d, dim = space.qubit_dim, space.cavity_dim, space.dim
+    regs = [np.asarray(s, dtype=complex) for s, _ in terms]
+    omegas = [float(w) for _, w in terms]
+    n_terms = len(regs)
+    # (iω_k, S_k⊗a) and (-iω_k, its adjoint), both contiguous: adding a transpose
+    # instead would stride through H(t)
+    pieces = []
+    for s, w in zip(regs, omegas):
+        op = np.kron(s, annihilation(d))
+        pieces += [(1j * w, op), (-1j * w, op.conj().T.copy())]
+    (iw0, op0), rest = pieces[0], pieces[1:]
+    iw = 1j * np.array(omegas)
+    # rows [S_k, 0] then [0, S_k†]: A(t) is one coefficient vector times this stack
+    blocks = np.zeros((2 * n_terms, q, 2 * q), dtype=complex)
+    for k, s in enumerate(regs):
+        blocks[k, :, :q] = s
+        blocks[n_terms + k, :, q:] = s.conj().T
+    blocks = blocks.reshape(2 * n_terms, 2 * q * q)
+    # √n of row i = q·d + n at every flat index i·dim + k of ρ past row 0.  aρ is ρ moved
+    # up one row and a†ρ is ρ moved down one row, both weighted by this slice, which is 0
+    # where a move would cross into the next register block.  Complex: no cast per product.
+    weights = np.repeat(np.sqrt(np.arange(dim) % d + 0j), dim)[dim:]
+    # T = [aρ; a†ρ] flattened; the row each shift leaves empty stays zero
+    shifts = np.zeros((2, dim * dim), dtype=complex)
+
+    def h_of_t(t: float) -> np.ndarray:
+        h = cmath.exp(iw0 * t) * op0
+        for iw_k, op in rest:
+            h += cmath.exp(iw_k * t) * op
+        return h
+
+    def minus_i_h_rho(t: float, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if not out.flags.c_contiguous:
+            # reshaping it would copy, and the product would land in the copy
+            raise ValueError("minus_i_h_rho needs a C-contiguous out array")
+        zs = np.exp(iw * t)
+        a_t = (-1j * np.concatenate((zs, zs.conj())) @ blocks).reshape(q, 2 * q)
+        r = rho.reshape(-1)
+        np.multiply(weights, r[dim:], out=shifts[0, :-dim])
+        np.multiply(weights, r[:-dim], out=shifts[1, dim:])
+        np.matmul(a_t, shifts.reshape(2 * q, d * dim), out=out.reshape(q, d * dim))
+        return out
+
+    h_of_t.max_frequency = max(abs(w) for w in omegas)  # type: ignore[attr-defined]
+    h_of_t.minus_i_h_rho = minus_i_h_rho  # type: ignore[attr-defined]
+    return h_of_t
+
+
+def _force_operator(drive: DriveParams, single: np.ndarray) -> np.ndarray:
+    """Σ_j η_j e^{iφ_j}·(``single`` on qubit j), a 2^N×2^N register operator."""
+    register = HilbertSpace(n_qubits=drive.n_qubits, cavity_dim=1)
+    s = np.zeros((register.dim, register.dim), dtype=complex)
+    for j in range(1, drive.n_qubits + 1):
+        s += drive.etas[j - 1] * np.exp(1j * drive.phis[j - 1]) * embed(single, j, register)
+    return s
+
+
 def hamiltonian_h2_provider(
     drive: DriveParams, space: HilbertSpace
 ) -> Callable[[float], np.ndarray]:
-    """Closure t ↦ H2(t), the spin-dependent dipole force Hamiltonian.
+    """Provider t ↦ H2(t), the spin-dependent dipole force Hamiltonian.
 
     H2(t) = Σ_j η_j [a e^{i(δt + φ_j)} + a† e^{-i(δt + φ_j)}] σ_j^x
+          = e^{iδt}·S⊗a + h.c.,  S = Σ_j η_j e^{iφ_j} σ_j^x,
 
-    The time-independent operator B = Σ_j η_j e^{iφ_j} a σ_j^x is built once,
-    so each call costs one scalar-matrix multiply-add (H2(t) = e^{iδt}B + h.c.),
-    which matters inside integrator loops.  The returned callable carries a
-    ``max_frequency`` attribute (the fastest oscillation present, |δ|) for
-    integrator-step validation.
+    one term of :func:`_drive_provider`, so it carries ``max_frequency`` = |δ|
+    and the factored Lindblad product ``minus_i_h_rho``.
     """
     _check_space(drive, space)
-    a = embed(annihilation(space.cavity_dim), CAVITY, space)
-    b = sum(
-        drive.etas[j - 1]
-        * np.exp(1j * drive.phis[j - 1])
-        * (a @ embed(SIGMA_X, j, space))
-        for j in range(1, space.n_qubits + 1)
-    )
-    b = np.asarray(b, dtype=complex)
-    bd = b.conj().T.copy()
-
-    def h_of_t(t: float) -> np.ndarray:
-        z = np.exp(1j * drive.delta * t)
-        return z * b + np.conj(z) * bd
-
-    h_of_t.max_frequency = abs(drive.delta)  # type: ignore[attr-defined]
-    return h_of_t
+    return _drive_provider([(_force_operator(drive, SIGMA_X), drive.delta)], space)
 
 
 def hamiltonian_h1_provider(
     drive: DriveParams, space: HilbertSpace
 ) -> Callable[[float], np.ndarray]:
-    """Closure t ↦ H1(t), the full drive Hamiltonian including the Ω-oscillating terms.
+    """Provider t ↦ H1(t), the full drive Hamiltonian including the Ω-oscillating terms.
 
     H1(t) = H2(t) + Σ_j η_j [a e^{i(δt + φ_j)} (e^{iΩt}|+⟩⟨-|_j - e^{-iΩt}|-⟩⟨+|_j) + h.c.]
 
     with H2 from :func:`hamiltonian_h2_provider`; the strong-driving
-    approximation (Ω ≫ δ, η) discards the cross terms.  They oscillate at
-    δ ± Ω, so ``max_frequency`` is |δ| + |Ω|.
+    approximation (Ω ≫ δ, η) discards the cross terms.  They have the same
+    S⊗a form as H2, with |+⟩⟨-| and -|-⟩⟨+| in place of σ^x, at δ + Ω and
+    δ - Ω, so H1 is three terms of :func:`_drive_provider` and
+    ``max_frequency`` is |δ| + |Ω|.
     """
-    h2 = hamiltonian_h2_provider(drive, space)
-    a = embed(annihilation(space.cavity_dim), CAVITY, space)
-    c_plus = np.zeros((space.dim, space.dim), dtype=complex)
-    c_minus = np.zeros_like(c_plus)
-    for j in range(1, space.n_qubits + 1):
-        w = drive.etas[j - 1] * np.exp(1j * drive.phis[j - 1])
-        c_plus += w * (a @ embed(PLUS_MINUS, j, space))
-        c_minus += w * (a @ embed(MINUS_PLUS, j, space))
-
-    def h_of_t(t: float) -> np.ndarray:
-        zp = np.exp(1j * (drive.delta + drive.omega) * t)
-        zm = np.exp(1j * (drive.delta - drive.omega) * t)
-        upper = zp * c_plus - zm * c_minus
-        return h2(t) + upper + upper.conj().T
-
-    h_of_t.max_frequency = abs(drive.delta) + abs(drive.omega)  # type: ignore[attr-defined]
-    return h_of_t
+    _check_space(drive, space)
+    return _drive_provider(
+        [
+            (_force_operator(drive, SIGMA_X), drive.delta),
+            (_force_operator(drive, PLUS_MINUS), drive.delta + drive.omega),
+            (_force_operator(drive, -MINUS_PLUS), drive.delta - drive.omega),
+        ],
+        space,
+    )
 
 
 def default_dt(drive: DriveParams) -> float:

@@ -46,6 +46,7 @@ from geomgate.scenarios import (
     run_rwa_scan,
     run_trajectory,
 )
+from test_dynamics import _dense_provider
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -224,7 +225,7 @@ def test_criterion_7_solver_oracles():
     a = annihilation(10)
     cfg = IntegratorConfig(dt=0.01, t_end=3.0 / kappa, record_stride=5)
     res_c = evolve_lindblad(
-        lambda t: np.zeros((cav.dim, cav.dim), dtype=complex),
+        _dense_provider(lambda t: np.zeros((cav.dim, cav.dim), dtype=complex)),
         DecoherenceRates(kappa=kappa),
         QuantumState.from_pure(cav, fock_state(10, 1)),
         None,
@@ -239,7 +240,7 @@ def test_criterion_7_solver_oracles():
     psi = np.kron(np.array([0.0, 1.0], dtype=complex), fock_state(2, 0))
     cfg = IntegratorConfig(dt=0.01, t_end=3.0 / gamma1, record_stride=5)
     res_q = evolve_lindblad(
-        lambda t: np.zeros((qub.dim, qub.dim), dtype=complex),
+        _dense_provider(lambda t: np.zeros((qub.dim, qub.dim), dtype=complex)),
         DecoherenceRates(gamma1=gamma1),
         QuantumState.from_pure(qub, psi),
         np.array([0.0, 1.0], dtype=complex),

@@ -14,6 +14,7 @@ from geomgate.core import (
     fock_state,
     ground_state,
     matexp,
+    partial_trace_cavity,
 )
 from geomgate.dynamics import (
     DecoherenceRates,
@@ -30,20 +31,34 @@ from geomgate.dynamics import (
 )
 from geomgate.model import (
     DriveParams,
+    bell_target,
+    default_dt,
     effective_all_to_all,
     gate_unitary,
+    ghz_target,
     hamiltonian_h2_provider,
     loop_time,
     pair_coupling_rate,
     theta_of_schedule,
 )
+from test_model import _h2_literal
 
 RNG = np.random.default_rng(7)
 
 
+def _dense_provider(h_of_t):
+    """Test oracle provider: dense H(t), and -i·H(t)·ρ by the literal dense product."""
+
+    def provider(t):
+        return h_of_t(t)
+
+    provider.minus_i_h_rho = lambda t, rho, out: np.matmul(-1j * h_of_t(t), rho, out=out)
+    return provider
+
+
 def _zero_provider(dim):
     h = np.zeros((dim, dim), dtype=complex)
-    return lambda t: h
+    return _dense_provider(lambda t: h)
 
 
 def _random_density(dim):
@@ -141,7 +156,14 @@ class TestDissipatorAgainstDenseReference:
         space = HilbertSpace(n_qubits, cavity_dim)
         rho = _random_density(space.dim)
         h = _random_hermitian(space.dim)
-        got = _rhs(h, rho, _Dissipator(rates, space), np.empty_like(rho), np.empty_like(rho))
+        got = _rhs(
+            _dense_provider(lambda t: h),
+            0.0,
+            rho,
+            _Dissipator(rates, space),
+            np.empty_like(rho),
+            np.empty_like(rho),
+        )
         want = _dense_lindblad_rhs(h, rho, rates, space)
         np.testing.assert_allclose(got, want, atol=1e-13)
 
@@ -150,8 +172,73 @@ class TestDissipatorAgainstDenseReference:
         rho = _random_density(8)
         h = _random_hermitian(8)
         diss = _Dissipator(DecoherenceRates(), space)
-        got = _rhs(h, rho, diss, np.empty_like(rho), np.empty_like(rho))
+        got = _rhs(
+            _dense_provider(lambda t: h), 0.0, rho, diss, np.empty_like(rho), np.empty_like(rho)
+        )
         np.testing.assert_allclose(got, 1j * (rho @ h - h @ rho), atol=1e-13)
+
+
+def _dense_rk4_fidelities(drive, rates, space, target, cfg):
+    """Test-only oracle: the evolver's RK4 step, record times and re-symmetrisation,
+    with the literal dense right-hand side of the literal H2(t)."""
+
+    def rhs(t, rho):
+        return _dense_lindblad_rhs(_h2_literal(drive, space, t), rho, rates, space)
+
+    rho = QuantumState.from_pure(space, ground_state(space)).rho.astype(complex)
+    dt = cfg.dt_effective
+
+    def fid():
+        return float(np.vdot(target, partial_trace_cavity(rho, space) @ target).real)
+
+    fids = [fid()]
+    for step in range(1, cfg.n_steps + 1):
+        t0 = (step - 1) * dt
+        k1 = rhs(t0, rho)
+        k2 = rhs(t0 + 0.5 * dt, rho + 0.5 * dt * k1)
+        k3 = rhs(t0 + 0.5 * dt, rho + 0.5 * dt * k2)
+        k4 = rhs(t0 + dt, rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        rho = 0.5 * (rho + rho.conj().T)
+        if step % cfg.record_stride == 0 or step == cfg.n_steps:
+            fids.append(fid())
+    return np.asarray(fids)
+
+
+class TestRandomDrivePhases:
+    """Seeded random phases and unequal couplings, end to end against the dense oracle."""
+
+    @pytest.mark.parametrize(
+        "n_qubits,cavity_dim,windows,seed",
+        [(2, 8, 1.0, 11), (3, 4, 2.0, 12)],
+        ids=["bell-n2-d8", "ghz-n3-d4"],
+    )
+    def test_lindblad_matches_dense_rk4(self, n_qubits, cavity_dim, windows, seed):
+        rng = np.random.default_rng(seed)
+        drive = DriveParams(
+            etas=rng.uniform(0.7, 1.3, n_qubits),
+            phis=rng.uniform(-math.pi, math.pi, n_qubits),
+            delta=4.0,
+        )
+        space = HilbertSpace(n_qubits, cavity_dim)
+        rates = DecoherenceRates(kappa=0.05, gamma1=0.05, gamma2=0.05)
+        target = bell_target() if n_qubits == 2 else ghz_target(n_qubits)
+        provider = hamiltonian_h2_provider(drive, space)
+        cfg = IntegratorConfig(
+            dt=default_dt(drive),
+            t_end=windows * loop_time(4.0),
+            record_stride=4,
+            max_frequency=provider.max_frequency,
+        )
+        res = evolve_lindblad(
+            provider, rates, QuantumState.from_pure(space, ground_state(space)), target, cfg
+        )
+        want = _dense_rk4_fidelities(drive, rates, space, target, cfg)
+        # Bell: F(τ) at the end of the loop; GHZ: the peak and where it sits
+        assert abs(res.final_fidelity - want[-1]) <= 1e-12
+        assert abs(max_fidelity(res)[1] - want.max()) <= 1e-12
+        assert int(np.argmax(res.fidelities)) == int(np.argmax(want))
+        np.testing.assert_allclose(res.fidelities, want, rtol=0, atol=1e-12)
 
 
 class TestLindbladOracles:
@@ -255,13 +342,24 @@ class TestLindbladOracles:
                 observables={"bad": np.eye(3)},
             )
 
+    def test_rejects_provider_without_factored_product(self):
+        space = HilbertSpace(1, 2)
+        with pytest.raises(TypeError, match="minus_i_h_rho"):
+            evolve_lindblad(
+                lambda t: np.zeros((4, 4), dtype=complex),
+                DecoherenceRates(),
+                QuantumState.from_pure(space, ground_state(space)),
+                None,
+                IntegratorConfig(dt=0.1, t_end=0.5),
+            )
+
     def test_aborts_on_non_finite_hamiltonian(self):
         space = HilbertSpace(1, 2)
         bad = np.full((4, 4), np.nan, dtype=complex)
         cfg = IntegratorConfig(dt=0.1, t_end=0.5)
         with pytest.raises(IntegratorError, match="non-finite"):
             evolve_lindblad(
-                lambda t: bad,
+                _dense_provider(lambda t: bad),
                 DecoherenceRates(),
                 QuantumState.from_pure(space, ground_state(space)),
                 None,

@@ -204,6 +204,41 @@ class TestDriveHamiltonians:
         np.testing.assert_allclose(shifted_phase, shifted_time, atol=1e-12)
 
 
+class TestFactoredProduct:
+    """``minus_i_h_rho`` must equal -i·H(t)·ρ with the literal dense H(t)."""
+
+    @pytest.mark.parametrize("cavity_dim", [2, 5, 8])
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+    def test_matches_literal_dense_product(self, n_qubits, cavity_dim):
+        rng = np.random.default_rng(100 * n_qubits + cavity_dim)
+        space = HilbertSpace(n_qubits, cavity_dim)
+        drive = _drive(
+            n_qubits,
+            omega=30.0,
+            etas=tuple(rng.uniform(0.5, 1.5, n_qubits)),
+            phis=tuple(rng.uniform(-math.pi, math.pi, n_qubits)),
+        )
+        a = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho)
+        out = np.empty_like(rho)
+        for provider, literal in (
+            (hamiltonian_h2_provider, _h2_literal),
+            (hamiltonian_h1_provider, _h1_literal),
+        ):
+            p = provider(drive, space)
+            for t in (0.0, 0.37, 1.9, 11.3):
+                want = -1j * literal(drive, space, t) @ rho
+                np.testing.assert_allclose(p.minus_i_h_rho(t, rho, out), want, rtol=0, atol=1e-13)
+
+    def test_rejects_out_that_is_not_c_contiguous(self):
+        space = HilbertSpace(1, 3)
+        p = hamiltonian_h2_provider(_drive(1), space)
+        rho = np.eye(space.dim, dtype=complex) / space.dim
+        with pytest.raises(ValueError, match="C-contiguous"):
+            p.minus_i_h_rho(0.1, rho, np.empty_like(rho).T)
+
+
 class TestTrajectory:
     def test_closure_at_full_loop(self):
         traj = trajectory(1.0, 4.0, [2.0 * math.pi / 4.0])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomgate import cli
+from geomgate import cli, scenarios
 from geomgate.dynamics import IntegratorError
 from geomgate.scenarios import (
     DEFAULT_M_SWEEP,
@@ -172,6 +172,25 @@ class TestBellScenario:
             output_path=str(tmp_path / "ideal.csv"),
         )
         assert run_bell(spec)["final_fidelity"] >= 1.0 - 1e-4
+
+    def test_provider_survives_a_tracing_wrapper(self, tmp_path, monkeypatch):
+        # perfbench/tracing.py re-wraps each provider in a plain function and copies
+        # only its __dict__: everything the Lindblad path needs must be an attribute
+        spec = ScenarioSpec(kind="bell", cavity_dim=8, output_path=str(tmp_path / "b.csv"))
+        plain = run_bell(spec)["final_fidelity"]
+        build = scenarios.hamiltonian_h2_provider
+
+        def rewrapped(*args, **kwargs):
+            h_of_t = build(*args, **kwargs)
+
+            def traced(*a, **k):
+                return h_of_t(*a, **k)
+
+            traced.__dict__.update(h_of_t.__dict__)
+            return traced
+
+        monkeypatch.setattr(scenarios, "hamiltonian_h2_provider", rewrapped)
+        assert run_bell(spec)["final_fidelity"] == plain
 
     @pytest.mark.parametrize("dphi", [0.0, 0.5, 1.0, math.pi / 2, 2.5])
     def test_phase_difference_tunes_the_gate(self, tmp_path, dphi):
