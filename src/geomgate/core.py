@@ -25,21 +25,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "CAVITY",
     "SIGMA_X",
     "SIGMA_Z",
     "SIGMA_MINUS",
-    "IDENTITY_2",
     "HilbertSpace",
     "QuantumState",
     "matexp",
     "annihilation",
     "embed",
     "partial_trace_cavity",
-    "expectation",
     "fock_state",
     "ground_state",
     "displaced_vacuum",
@@ -54,7 +51,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 #: Lowering operator |0⟩⟨1|.
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -136,32 +132,27 @@ class QuantumState:
 
 
 def matexp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential ``e^A``.
+    """Matrix exponential ``e^A`` of an anti-Hermitian generator ``A = -iH``.
 
-    Hermitian and anti-Hermitian inputs (the physical cases: generators and
-    ``-iH t``) are exponentiated by eigendecomposition, which preserves
-    unitarity of ``e^{-iHt}`` to machine precision.  Anything else falls back
-    to scipy's scaling-and-squaring Padé implementation.
+    Every exponential the model needs is a unitary ``e^{-iHt}``, so ``A`` must
+    be anti-Hermitian (``A + A†`` below 1e-12 relative to max |A_ij|).  It is
+    exponentiated as ``V e^{-iw} V†`` from one eigendecomposition of the
+    Hermitian ``H = iA``, which keeps the result unitary to machine precision.
 
     Raises
     ------
     ValueError
-        If ``a`` is not a square matrix.
+        If ``a`` is not a square matrix, or is square but not anti-Hermitian.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matexp expects a square matrix, got shape {a.shape}")
-    tol = 1e-12 * max(1.0, float(np.abs(a).max()))
-    if np.abs(a - a.conj().T).max() <= tol:
-        # Hermitian: e^A = V e^diag(w) V†
-        w, v = np.linalg.eigh(a)
-        return (v * np.exp(w)) @ v.conj().T
     h = 1j * a
-    if np.abs(h - h.conj().T).max() <= tol:
-        # anti-Hermitian: A = -iH with H = iA Hermitian
-        w, v = np.linalg.eigh(h)
-        return (v * np.exp(-1j * w)) @ v.conj().T
-    return scipy.linalg.expm(a)
+    # written as `not <=` so that a NaN entry is refused too
+    if not np.abs(h - h.conj().T).max() <= 1e-12 * max(1.0, float(np.abs(a).max())):
+        raise ValueError("matexp expects an anti-Hermitian generator A = -iH")
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def annihilation(d: int) -> np.ndarray:
@@ -242,25 +233,6 @@ def partial_trace_cavity(
     if rho.shape != (space.dim, space.dim):
         raise ValueError(f"rho has shape {rho.shape}, expected ({space.dim}, {space.dim})")
     return _reduced_qubit_rho(rho, space.n_qubits, space.cavity_dim)
-
-
-def expectation(state: QuantumState | np.ndarray, op: np.ndarray) -> complex:
-    """Expectation value ``trace(rho · op)``.
-
-    ``state`` may be a :class:`QuantumState` or a raw density matrix.  The
-    result is complex; for Hermitian ``op`` its imaginary part is numerical
-    noise (below 1e-10 for valid states).
-
-    Raises
-    ------
-    ValueError
-        On dimension mismatch.
-    """
-    rho = state.rho if isinstance(state, QuantumState) else np.asarray(state, dtype=complex)
-    op = np.asarray(op, dtype=complex)
-    if rho.shape != op.shape or rho.ndim != 2:
-        raise ValueError(f"shape mismatch: rho {rho.shape} vs op {op.shape}")
-    return complex(np.einsum("ij,ji->", rho, op))
 
 
 def fock_state(d: int, n: int) -> np.ndarray:

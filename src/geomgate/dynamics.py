@@ -175,7 +175,8 @@ class _Dissipator:
         self.active = rates.any_active
         if not self.active:
             return
-        # imported here: closed-system runs build no dissipator, and the import costs ~1.7 MB
+        # imported here, the package's only scipy import: closed-system runs build no
+        # dissipator, and on its own it costs ~22 MB of RSS and ~0.2 s (2-core x86 box)
         import scipy.sparse
 
         nq, d, dim = space.n_qubits, space.cavity_dim, space.dim

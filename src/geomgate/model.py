@@ -37,9 +37,7 @@ __all__ = [
     "loop_time",
     "pair_coupling_rate",
     "theta_of_schedule",
-    "effective_pair_hamiltonian",
     "effective_all_to_all",
-    "effective_chain",
     "gate_unitary",
     "bell_target",
     "ghz_target",
@@ -342,11 +340,6 @@ def theta_of_schedule(eta: float, delta: float, n: int = 1, phi1: float = 0.0) -
     return pair_coupling_rate(eta, delta) * loop_time(delta, n) * math.cos(phi1)
 
 
-def effective_pair_hamiltonian(lambda_: float, phi1: float) -> np.ndarray:
-    """Two-qubit effective Hamiltonian λ cos(φ₁) σ₁^x σ₂^x (4×4, cavity eliminated)."""
-    return lambda_ * math.cos(phi1) * np.kron(SIGMA_X, SIGMA_X)
-
-
 def effective_all_to_all(
     lambda_: float, phis: Sequence[float], space: HilbertSpace
 ) -> np.ndarray:
@@ -370,29 +363,6 @@ def effective_all_to_all(
         xj = embed(SIGMA_X, j, space)
         for k in range(j + 1, n + 1):
             h += lambda_ * math.cos(phis[j - 1] - phis[k - 1]) * (xj @ embed(SIGMA_X, k, space))
-    return h
-
-
-def effective_chain(lambda_prime: float, phis: Sequence[float], n: int) -> np.ndarray:
-    """Nearest-neighbour chain λ' Σ_j cos(φ_j - φ_{j+1}) σ_j^x σ_{j+1}^x on n qubits.
-
-    Raises
-    ------
-    ValueError
-        If ``n < 2`` or the phase list length differs from ``n``.
-    """
-    if n < 2:
-        raise ValueError(f"chain needs n >= 2 qubits, got {n}")
-    if len(phis) != n:
-        raise ValueError(f"need {n} phases, got {len(phis)}")
-    space = HilbertSpace(n_qubits=n, cavity_dim=1)
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    for j in range(1, n):
-        h += (
-            lambda_prime
-            * math.cos(phis[j - 1] - phis[j])
-            * (embed(SIGMA_X, j, space) @ embed(SIGMA_X, j + 1, space))
-        )
     return h
 
 

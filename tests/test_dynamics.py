@@ -564,7 +564,14 @@ class TestGateEquivalence:
         assert dist < 1e-4
 
     @pytest.mark.parametrize(
-        "phis", [(0.3, 1.0), (0.0, math.pi / 2), (0.2, -0.4, 1.3)], ids=str
+        "phis",
+        [
+            (0.3, 1.0),
+            (0.0, math.pi / 2),
+            (0.2, -0.4, 1.3),
+            tuple(np.random.default_rng(8).uniform(-math.pi, math.pi, 3).tolist()),
+        ],
+        ids=str,
     )
     def test_drive_phases_tune_the_pair_coupling(self, phis):
         # the paper's claim: after one closed loop the register sees

@@ -1,0 +1,59 @@
+"""What importing and running geomgate loads: numpy only, until a dissipator is built."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import geomgate
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+_REPORT = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+_CLOSED_SYSTEM = """
+import geomgate as g
+space = g.HilbertSpace(2, 4)
+drive = g.DriveParams((1.0, 1.0), (0.0, 0.5), 4.0, omega=25.0)
+g.hamiltonian_h1_provider(drive, space)
+g.hamiltonian_h2_provider(drive, space)
+g.bell_target()
+g.ghz_target(3)
+g.QuantumState.from_pure(space, g.ground_state(space))
+g.run_trajectory(g.ScenarioSpec(kind="trajectory", cavity_dim=4, output_path=OUT))
+"""
+
+_OPEN_SYSTEM = """
+import geomgate as g
+g.run_bell(g.ScenarioSpec(kind="bell", cavity_dim=4, kappa_over_eta=0.01, output_path=OUT))
+"""
+
+
+def _scipy_modules_after(script: str, out: pathlib.Path) -> list[str]:
+    # a fresh interpreter: this test process has long since loaded scipy
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = f"OUT = {str(out)!r}\n{script}{_REPORT}"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_models_and_closed_system_runs_load_no_scipy(tmp_path):
+    assert _scipy_modules_after(_CLOSED_SYSTEM, tmp_path / "trajectory.csv") == []
+
+
+def test_open_system_run_loads_scipy_sparse(tmp_path):
+    # proves the check above can see the one lazy import, in the dissipator
+    assert "scipy.sparse" in _scipy_modules_after(_OPEN_SYSTEM, tmp_path / "bell.csv")
+
+
+def test_matexp_is_one_object_under_every_name():
+    # perfbench/tracing.py patches dynamics.matexp and model.matexp by name; a
+    # missing or diverging alias breaks every traced benchmark run
+    assert geomgate.dynamics.matexp is geomgate.model.matexp is geomgate.core.matexp

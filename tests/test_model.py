@@ -14,9 +14,7 @@ from geomgate.model import (
     bell_target,
     default_dt,
     effective_all_to_all,
-    effective_chain,
     effective_coupling,
-    effective_pair_hamiltonian,
     gate_unitary,
     ghz_target,
     hamiltonian_h1_provider,
@@ -298,21 +296,22 @@ class TestSchedule:
         assert theta_of_schedule(1.0, 4.0, 2) == pytest.approx(math.pi / 2.0, rel=1e-12)
 
 
+def _pair(lambda_: float, phi: float) -> np.ndarray:
+    # the two-qubit effective model at phase difference phi
+    return effective_all_to_all(lambda_, (0.0, phi), HilbertSpace(2, 1))
+
+
 class TestEffectiveModels:
     def test_pair_phase_switch(self):
         lam = 0.5
-        assert np.abs(effective_pair_hamiltonian(lam, math.pi / 2.0)).max() < 1e-15
-        np.testing.assert_allclose(
-            effective_pair_hamiltonian(lam, 0.0), lam * np.kron(SX, SX), atol=1e-15
-        )
-        np.testing.assert_allclose(
-            effective_pair_hamiltonian(lam, math.pi), -lam * np.kron(SX, SX), atol=1e-12
-        )
+        assert np.abs(_pair(lam, math.pi / 2.0)).max() < 1e-15
+        np.testing.assert_allclose(_pair(lam, 0.0), lam * np.kron(SX, SX), atol=1e-15)
+        np.testing.assert_allclose(_pair(lam, math.pi), -lam * np.kron(SX, SX), atol=1e-12)
 
     def test_pair_coupling_extremes_over_phase(self):
         lam = 0.7
         norms = {
-            phi: np.abs(effective_pair_hamiltonian(lam, phi)).max()
+            phi: np.abs(_pair(lam, phi)).max()
             for phi in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi)
         }
         assert norms[0.0] == pytest.approx(lam)
@@ -325,7 +324,7 @@ class TestEffectiveModels:
         space = HilbertSpace(2, 1)
         np.testing.assert_allclose(
             effective_all_to_all(lam, phis, space),
-            effective_pair_hamiltonian(lam, phis[0] - phis[1]),
+            lam * math.cos(phis[0] - phis[1]) * np.kron(SX, SX),
             atol=1e-14,
         )
 
@@ -356,43 +355,6 @@ class TestEffectiveModels:
             effective_all_to_all(1.0, (0.0, 0.0), HilbertSpace(2, 4))
         with pytest.raises(ValueError):
             effective_all_to_all(1.0, (0.0,), HilbertSpace(2, 1))
-
-    def test_chain_two_sites_matches_pair(self):
-        np.testing.assert_allclose(
-            effective_chain(0.9, (0.2, 0.7), 2),
-            effective_pair_hamiltonian(0.9, 0.2 - 0.7),
-            atol=1e-14,
-        )
-
-    def test_chain_has_no_next_nearest_coupling(self):
-        space = HilbertSpace(3, 1)
-        lam = 0.6
-        phis = (0.1, 0.9, -0.3)
-        h = effective_chain(lam, phis, 3)
-        x = [embed(SX, j, space) for j in (1, 2, 3)]
-        expected = lam * (
-            math.cos(phis[0] - phis[1]) * x[0] @ x[1]
-            + math.cos(phis[1] - phis[2]) * x[1] @ x[2]
-        )
-        np.testing.assert_allclose(h, expected, atol=1e-14)
-        # coefficient of the 1-3 bond via trace inner product
-        coeff = np.trace(h @ (x[0] @ x[2])).real / 8.0
-        assert abs(coeff) < 1e-14
-
-    def test_chain_alternating_phases(self):
-        lam = 0.8
-        h = effective_chain(lam, (0.0, math.pi, 0.0, math.pi), 4)
-        space = HilbertSpace(4, 1)
-        for j in (1, 2, 3):
-            bond = embed(SX, j, space) @ embed(SX, j + 1, space)
-            coeff = np.trace(h @ bond).real / 16.0
-            assert coeff == pytest.approx(-lam, rel=1e-12)
-
-    def test_chain_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            effective_chain(1.0, (0.0,), 1)
-        with pytest.raises(ValueError):
-            effective_chain(1.0, (0.0, 0.0), 3)
 
 
 class TestGateUnitary:
