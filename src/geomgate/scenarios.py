@@ -72,6 +72,9 @@ _FLOAT_FIELDS = (
 # two roundings of 2^-53 each, which beat the 1e-9 slack of the count from
 # n ≈ 4.5e6 on and would add a step to the plan.  Longer plans are refused.
 _MAX_STEPS = 4_000_000
+# Largest joint dimension 2^N·d a run may allocate (N=6, d=32): far larger ones
+# would fail in a dense allocation with a MemoryError instead of a SpecError.
+_MAX_DIM = 2048
 
 
 class SpecError(ValueError):
@@ -126,6 +129,11 @@ class ScenarioSpec:
                 raise SpecError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.cavity_dim < 2:
             raise SpecError(f"cavity_dim must be >= 2, got {self.cavity_dim}")
+        # d > ⌊_MAX_DIM/2^N⌋ is 2^N·d > _MAX_DIM, without forming 2^N for a huge N
+        if self.cavity_dim > _MAX_DIM >> n_qubits:
+            raise SpecError(
+                f"joint dimension 2^{n_qubits}·{self.cavity_dim} exceeds the {_MAX_DIM} allowed"
+            )
         if self.dt_override is not None and self.dt_override <= 0:
             raise SpecError(f"dt_override must be positive, got {self.dt_override}")
         phis = self.phis if self.phis is not None else (0.0,) * n_qubits

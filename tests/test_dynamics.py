@@ -150,6 +150,10 @@ class TestDissipatorAgainstDenseReference:
             (0, 6, DecoherenceRates(kappa=0.5)),
             (2, 1, DecoherenceRates(gamma1=0.3, gamma2=0.9)),
             (4, 3, DecoherenceRates(kappa=0.3, gamma1=0.2, gamma2=0.1)),
+            # vec(ρ) of 144² and 160² entries spans several chunks, and the
+            # shifted channels end partway through one
+            (4, 9, DecoherenceRates(kappa=0.3, gamma1=0.2, gamma2=0.1)),
+            (3, 20, DecoherenceRates(kappa=0.4, gamma1=0.6)),
         ],
     )
     def test_structured_equals_dense(self, n_qubits, cavity_dim, rates):

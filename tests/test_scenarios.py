@@ -331,6 +331,9 @@ class TestCli:
             # more steps than the step-count envelope allows (about 1.6e12 and 1.6e7)
             ["bell", "--dt-over-eta", "1e-12"],
             ["bell", "--dt-over-eta", "1e-7"],
+            # joint dimensions 4·10⁶ and 2⁴⁰·24, far beyond what a dense ρ can hold
+            ["bell", "--cavity-dim", "1000000"],
+            ["ghz-sweep", "--n-qubits", "40"],
         ],
     )
     def test_invalid_spec_exits_two(self, tmp_path, args):
