@@ -7,14 +7,15 @@ The master equation integrated here is
 with L(A)ρ = 2AρA† - A†Aρ - ρA†A.  The sign convention i[ρ, H] equals the
 standard -i[H, ρ].  Propagation is fixed-step classical 4th-order (RK4) on
 the full density matrix, and every RK4 stage writes into buffers allocated
-once per run.  A right-hand side is E + E† + D(ρ): E = −i·H(t)·ρ comes from
-the provider's factored product (two cavity shifts of ρ and one register
-product, no dense H(t)), and D is N+2 shifted diagonals of vec(ρ), built once
+once per run.  Both evolvers take the drive H(t) = P(t)⊗a + P(t)†⊗a† as a
+provider t ↦ P(t), the 2^N×2^N register matrix.  A right-hand side is
+E + E† + D(ρ): E = −i·H(t)·ρ is two cavity shifts of ρ and one register
+product, no dense H(t), and D is N+2 shifted diagonals of vec(ρ), built once
 per run and summed chunk by chunk in the order of a CSR row product.
 
-Closed-system propagation takes midpoint steps exp(−i·dt·H(t_mid)) and
-applies each exponential to the propagated array by a truncated Taylor series
-sized from dt·‖H‖₁, without forming the matrix exponential.
+Closed-system propagation writes P(t_mid) into a dense H for each midpoint
+step exp(−i·dt·H) and applies it to the propagated array by a truncated
+Taylor series sized from dt·‖H‖₁, without forming the matrix exponential.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ __all__ = [
     "propagator_gate_distance",
 ]
 
-# t ↦ H(t); evolve_lindblad also needs its ``minus_i_h_rho`` attribute (see model)
+# t ↦ P(t), the register matrix of the drive H(t) = P(t)⊗a + P(t)†⊗a† (see model)
 HamiltonianProvider = Callable[[float], np.ndarray]
 
 
@@ -226,27 +227,50 @@ class _Dissipator:
             y[start : start + diag.size] += acc
 
 
+def _drive_product(space: HilbertSpace) -> Callable[..., np.ndarray]:
+    """(P, ρ, out) ↦ −i·H·ρ into ``out``, for H = P⊗a + P†⊗a†, without forming H.
+
+    a and a† act on C-ordered ρ as two √n-weighted row shifts, stacked into
+    T = [aρ; a†ρ] of shape (2^(N+1), d·dim), and −i·H·ρ = A·T with the
+    2^N × 2^(N+1) matrix A = −i·[P, P†].  T is the closure's buffer: one per run.
+    """
+    q, d, dim = space.qubit_dim, space.cavity_dim, space.dim
+    # √n of row i = q·d + n at every flat index i·dim + k of ρ past row 0.  aρ is ρ moved
+    # up one row and a†ρ is ρ moved down one row, both weighted by this slice, which is 0
+    # where a move would cross into the next register block (everywhere at d = 1).
+    # Complex: no cast per product.
+    weights = np.repeat(np.sqrt(np.arange(dim) % d + 0j), dim)[dim:]
+    # T flattened; the row each shift leaves empty stays zero
+    shifts = np.zeros((2, dim * dim), dtype=complex)
+    stacked = shifts.reshape(2 * q, d * dim)
+
+    def minus_i_h_rho(p: np.ndarray, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
+        a_t = -1j * np.concatenate((p, p.conj().T), axis=1)
+        r = rho.reshape(-1)
+        np.multiply(weights, r[dim:], out=shifts[0, :-dim])
+        np.multiply(weights, r[:-dim], out=shifts[1, dim:])
+        np.matmul(a_t, stacked, out=out.reshape(q, d * dim))
+        return out
+
+    return minus_i_h_rho
+
+
 def _rhs(
     h_of_t: HamiltonianProvider,
     t: float,
     rho: np.ndarray,
+    h_rho: Callable[..., np.ndarray],
     diss: _Dissipator,
     out: np.ndarray,
     work: np.ndarray,
 ) -> np.ndarray:
     """Write dρ/dt at time t into ``out``, using ``work`` for E = −i·H(t)·ρ; all C-ordered."""
     # -i[H, ρ] = E + E† for Hermitian H, ρ: one product, not two, and no -i pass
-    e = h_of_t.minus_i_h_rho(t, rho, work)  # type: ignore[attr-defined]
+    e = h_rho(h_of_t(t), rho, work)
     np.conjugate(e.T, out=out)
     out += e
     diss.add_to(out, rho)
     return out
-
-
-def _check_provider(h_of_t: HamiltonianProvider, dim: int) -> None:
-    probe = np.asarray(h_of_t(0.0))
-    if probe.shape != (dim, dim):
-        raise ValueError(f"Hamiltonian provider returns shape {probe.shape}, expected ({dim}, {dim})")
 
 
 def _gram_drift(x: np.ndarray) -> float:
@@ -295,11 +319,10 @@ def evolve_lindblad(
     Parameters
     ----------
     h_of_t:
-        Hamiltonian provider, a callable t → H(t) on the joint space with a
-        ``minus_i_h_rho(t, rho, out)`` attribute that writes −i·H(t)·ρ into
-        ``out`` (the providers of :mod:`geomgate.model` carry it).  H(t) is
-        built once, at t=0, to check the shape; every step takes only
-        ``minus_i_h_rho``, four times.
+        Drive provider, a callable t → P(t) returning the 2^N×2^N register
+        matrix of H(t) = P(t)⊗a + P(t)†⊗a† (the providers of
+        :mod:`geomgate.model`).  It is called once at t=0 to check the shape,
+        then once per right-hand side, four times per step.
     rates:
         Lindblad rates; all-zero rates reduce the equation to the von Neumann
         equation.
@@ -322,21 +345,22 @@ def evolve_lindblad(
 
     Raises
     ------
-    TypeError
-        If the provider has no ``minus_i_h_rho``.
+    ValueError
+        If P(t) is not 2^N×2^N, or the target or an observable has the wrong shape.
     IntegratorError
         On trace drift beyond 1e-6 or non-finite values (with step context).
     """
     space = initial.space
     dim = space.dim
-    _check_provider(h_of_t, dim)
-    if not callable(getattr(h_of_t, "minus_i_h_rho", None)):
-        raise TypeError("evolve_lindblad needs a provider with a minus_i_h_rho attribute")
+    q = space.qubit_dim
+    shape = np.shape(h_of_t(0.0))
+    if shape != (q, q):
+        raise ValueError(f"Hamiltonian provider returns shape {shape}, expected ({q}, {q})")
     if target is not None:
         target = np.asarray(target, dtype=complex).reshape(-1)
-        if target.size != space.qubit_dim:
+        if target.size != q:
             raise ValueError(
-                f"target must live on the qubit register (length {space.qubit_dim}), "
+                f"target must live on the qubit register (length {q}), "
                 f"got length {target.size}"
             )
     obs_items = [(name, np.asarray(op, dtype=complex)) for name, op in (observables or {}).items()]
@@ -344,12 +368,13 @@ def evolve_lindblad(
         if op.shape != (dim, dim):
             raise ValueError(f"observable {name!r} has shape {op.shape}, expected ({dim}, {dim})")
 
+    h_rho = _drive_product(space)
     diss = _Dissipator(rates, space)
     n_steps = cfg.n_steps
     dt = cfg.dt_effective
     stride = cfg.record_stride
 
-    # C order: the provider and the dissipator read each stage through reshaped views
+    # C order: the drive product and the dissipator read each stage through reshaped views
     rho = np.array(initial.rho, dtype=complex, order="C")
     # RK4 stages, the stage state and the -iHρ / ρ† scratch, reused every step
     k1, k2, k3, k4, stage, work = (np.empty_like(rho) for _ in range(6))
@@ -379,13 +404,13 @@ def evolve_lindblad(
     half_dt = 0.5 * dt
     for step in range(1, n_steps + 1):
         t0 = (step - 1) * dt
-        _rhs(h_of_t, t0, rho, diss, k1, work)
+        _rhs(h_of_t, t0, rho, h_rho, diss, k1, work)
         np.add(rho, np.multiply(k1, half_dt, out=stage), out=stage)
-        _rhs(h_of_t, t0 + half_dt, stage, diss, k2, work)
+        _rhs(h_of_t, t0 + half_dt, stage, h_rho, diss, k2, work)
         np.add(rho, np.multiply(k2, half_dt, out=stage), out=stage)
-        _rhs(h_of_t, t0 + half_dt, stage, diss, k3, work)
+        _rhs(h_of_t, t0 + half_dt, stage, h_rho, diss, k3, work)
         np.add(rho, np.multiply(k3, dt, out=stage), out=stage)
-        _rhs(h_of_t, t0 + dt, stage, diss, k4, work)
+        _rhs(h_of_t, t0 + dt, stage, h_rho, diss, k4, work)
         # rho + (dt/6)·(k1 + 2·(k2 + k3) + k4), accumulated in k1
         np.add(k2, k3, out=k2)
         k2 *= 2.0
@@ -433,19 +458,20 @@ def evolve_unitary(
 ) -> np.ndarray:
     """Propagate a state (dim,) or a block of orthonormal columns (dim, k).
 
-    Each step applies exp(-i H(t_mid) dt), with the Hamiltonian evaluated at
-    the step midpoint, to the array by a Taylor series truncated where its
-    remainder bound falls below 2⁻⁵³ relative to the array (see
-    :func:`_expm_action`).  A step therefore agrees with the exact
-    exponential to roundoff, and its work grows with dt·‖H‖₁ (one substep
-    per unit).  The result has the shape of ``initial``; passing
+    ``h_of_t`` returns the register matrix P(t) of H(t) = P(t)⊗a + P(t)†⊗a†,
+    and the cavity has d = dim/size(P) levels.  Each step writes P(t_mid) into
+    the dense H(t_mid) at the step midpoint and applies exp(-i H(t_mid) dt) to
+    the array by a Taylor series truncated where its remainder bound falls
+    below 2⁻⁵³ relative to the array (see :func:`_expm_action`).  A step
+    therefore agrees with the exact exponential to roundoff, and its work grows
+    with dt·‖H‖₁ (one substep per unit).  The result has the shape of ``initial``; passing
     ``np.eye(dim)`` returns the propagator U(t_end).
 
     Raises
     ------
     ValueError
         If the columns of ``initial`` are not orthonormal (a state not
-        normalized) to 1e-8, or the provider's shape does not match.
+        normalized) to 1e-8, or P(t) is not square with a size dividing dim.
     IntegratorError
         On a non-finite Hamiltonian or state (with the step), or if
         max|X†X − I| drifts beyond 1e-8.
@@ -453,11 +479,25 @@ def evolve_unitary(
     x = np.asarray(initial, dtype=complex)
     if x.ndim not in (1, 2) or _gram_drift(x) > 1e-8:
         raise ValueError("initial state must be normalized, a block must have orthonormal columns")
-    _check_provider(h_of_t, x.shape[0])
+    dim = x.shape[0]
+    shape = np.shape(h_of_t(0.0))
+    if len(shape) != 2 or shape[0] != shape[1] or dim % shape[0]:
+        raise ValueError(f"provider returns shape {shape}, not (q, q) with q dividing {dim}")
+    q, d = shape[0], dim // shape[0]
+    # H = P⊗a + h.c. holds P[i, j]·√(n+1) at row i·d + n, column j·d + n + 1, its conjugate
+    # at the transposed place and zeros elsewhere, so each step writes only those entries
+    row0, col0, n = np.ix_(np.arange(q) * d, np.arange(q) * d, np.arange(d - 1))
+    upper = ((row0 + n) * dim + col0 + n + 1).ravel()
+    lower = ((col0 + n + 1) * dim + row0 + n).ravel()
+    sqrt_n = np.sqrt(n.ravel() + 1.0)
+    h = np.zeros((dim, dim), dtype=complex)
+    flat = h.reshape(-1)
     n_steps = cfg.n_steps
     dt = cfg.dt_effective
     for step in range(1, n_steps + 1):
-        h = h_of_t((step - 0.5) * dt)
+        u = (h_of_t((step - 0.5) * dt)[:, :, None] * sqrt_n).ravel()
+        flat[upper] = u
+        flat[lower] = u.conj()
         theta = dt * float(np.abs(h).sum(axis=0).max())
         if not math.isfinite(theta):
             raise IntegratorError(f"non-finite Hamiltonian at step {step}/{n_steps}")

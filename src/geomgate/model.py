@@ -8,7 +8,6 @@ reference point η = 2π × 10 MHz.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -19,7 +18,6 @@ import numpy as np
 from .core import (
     SIGMA_X,
     HilbertSpace,
-    annihilation,
     embed,
     matexp,
 )
@@ -63,6 +61,7 @@ class PhysicalParams:
     two-photon detuning.  The adiabatic elimination behind
     :func:`effective_coupling` is only trustworthy for
     ``delta_big >> delta_small``; construction warns below a 10× ratio.
+    Non-finite values are rejected at construction.
     """
 
     g: float
@@ -71,6 +70,11 @@ class PhysicalParams:
     delta_small: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("g", "omega_l", "delta_big", "delta_small"):
+            # NaN passes `<= 0` and silences the 10x warning; an infinite Δ zeroes η
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.delta_big <= 0:
             raise ValueError(f"delta_big must be positive, got {self.delta_big}")
         if self.delta_big < 10.0 * abs(self.delta_small):
@@ -146,71 +150,25 @@ def _check_space(drive: DriveParams, space: HilbertSpace) -> None:
         raise ValueError("drive Hamiltonians need a non-trivial cavity (cavity_dim >= 2)")
 
 
-def _drive_provider(
-    terms: Sequence[tuple[np.ndarray, float]], space: HilbertSpace
-) -> Callable[[float], np.ndarray]:
-    """Provider of H(t) = Σ_k e^{iω_k t}·S_k⊗a + h.c. from its (S_k, ω_k) terms.
+def _drive_provider(terms: Sequence[tuple[np.ndarray, float]]) -> Callable[[float], np.ndarray]:
+    """Provider t ↦ P(t) = Σ_k e^{iω_k t}·S_k of the drive H(t) = P(t)⊗a + P(t)†⊗a†.
 
-    Each S_k is a 2^N×2^N register operator.  The returned callable gives the
-    dense H(t), as :func:`~geomgate.dynamics.evolve_unitary` needs, and carries
-    two attributes, so they survive a caller that re-wraps the function and
-    copies its ``__dict__``:
-
-    * ``max_frequency``, the largest |ω_k|, for integrator-step validation;
-    * ``minus_i_h_rho(t, rho, out)``, which writes −i·H(t)·ρ into ``out`` (both
-      C-ordered (dim, dim)) without forming H(t).  a and a† act on ρ as two
-      √n-weighted row shifts, stacked into T of shape (2^(N+1), d·dim), and
-      the register side is one product A(t)·T with the 2^N × 2^(N+1) matrix
-      A(t) = −i·[Σ_k z_k S_k, Σ_k z̄_k S_k†], z_k = e^{iω_k t}.  T lives in one
-      buffer owned by the provider, so one provider must not be applied from
-      two threads at once.
+    Each S_k is a 2^N×2^N register operator, so P(t) is one product of the
+    phases e^{iω_k t} with the stacked S_k, and no cavity operator or joint
+    matrix is built here: :mod:`~geomgate.dynamics` applies H(t) from P(t).
+    The callable carries ``max_frequency``, the largest |ω_k|, for
+    integrator-step validation, as an attribute, so it survives a caller that
+    re-wraps the function and copies its ``__dict__``.
     """
-    q, d, dim = space.qubit_dim, space.cavity_dim, space.dim
-    regs = [np.asarray(s, dtype=complex) for s, _ in terms]
-    omegas = [float(w) for _, w in terms]
-    n_terms = len(regs)
-    # (iω_k, S_k⊗a) and (-iω_k, its adjoint), both contiguous: adding a transpose
-    # instead would stride through H(t)
-    pieces = []
-    for s, w in zip(regs, omegas):
-        op = np.kron(s, annihilation(d))
-        pieces += [(1j * w, op), (-1j * w, op.conj().T.copy())]
-    (iw0, op0), rest = pieces[0], pieces[1:]
-    iw = 1j * np.array(omegas)
-    # rows [S_k, 0] then [0, S_k†]: A(t) is one coefficient vector times this stack
-    blocks = np.zeros((2 * n_terms, q, 2 * q), dtype=complex)
-    for k, s in enumerate(regs):
-        blocks[k, :, :q] = s
-        blocks[n_terms + k, :, q:] = s.conj().T
-    blocks = blocks.reshape(2 * n_terms, 2 * q * q)
-    # √n of row i = q·d + n at every flat index i·dim + k of ρ past row 0.  aρ is ρ moved
-    # up one row and a†ρ is ρ moved down one row, both weighted by this slice, which is 0
-    # where a move would cross into the next register block.  Complex: no cast per product.
-    weights = np.repeat(np.sqrt(np.arange(dim) % d + 0j), dim)[dim:]
-    # T = [aρ; a†ρ] flattened; the row each shift leaves empty stays zero
-    shifts = np.zeros((2, dim * dim), dtype=complex)
+    q = terms[0][0].shape[0]
+    stack = np.array([np.asarray(s, dtype=complex).reshape(-1) for s, _ in terms])
+    iw = 1j * np.array([float(w) for _, w in terms])
 
-    def h_of_t(t: float) -> np.ndarray:
-        h = cmath.exp(iw0 * t) * op0
-        for iw_k, op in rest:
-            h += cmath.exp(iw_k * t) * op
-        return h
+    def p_of_t(t: float) -> np.ndarray:
+        return (np.exp(iw * t) @ stack).reshape(q, q)
 
-    def minus_i_h_rho(t: float, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if not out.flags.c_contiguous:
-            # reshaping it would copy, and the product would land in the copy
-            raise ValueError("minus_i_h_rho needs a C-contiguous out array")
-        zs = np.exp(iw * t)
-        a_t = (-1j * np.concatenate((zs, zs.conj())) @ blocks).reshape(q, 2 * q)
-        r = rho.reshape(-1)
-        np.multiply(weights, r[dim:], out=shifts[0, :-dim])
-        np.multiply(weights, r[:-dim], out=shifts[1, dim:])
-        np.matmul(a_t, shifts.reshape(2 * q, d * dim), out=out.reshape(q, d * dim))
-        return out
-
-    h_of_t.max_frequency = max(abs(w) for w in omegas)  # type: ignore[attr-defined]
-    h_of_t.minus_i_h_rho = minus_i_h_rho  # type: ignore[attr-defined]
-    return h_of_t
+    p_of_t.max_frequency = max(abs(float(w)) for _, w in terms)  # type: ignore[attr-defined]
+    return p_of_t
 
 
 def _force_operator(drive: DriveParams, single: np.ndarray) -> np.ndarray:
@@ -225,29 +183,29 @@ def _force_operator(drive: DriveParams, single: np.ndarray) -> np.ndarray:
 def hamiltonian_h2_provider(
     drive: DriveParams, space: HilbertSpace
 ) -> Callable[[float], np.ndarray]:
-    """Provider t ↦ H2(t), the spin-dependent dipole force Hamiltonian.
+    """Provider t ↦ P(t) of H2(t), the spin-dependent dipole force Hamiltonian.
 
     H2(t) = Σ_j η_j [a e^{i(δt + φ_j)} + a† e^{-i(δt + φ_j)}] σ_j^x
-          = e^{iδt}·S⊗a + h.c.,  S = Σ_j η_j e^{iφ_j} σ_j^x,
+          = P(t)⊗a + h.c.,  P(t) = e^{iδt}·Σ_j η_j e^{iφ_j} σ_j^x,
 
-    one term of :func:`_drive_provider`, so it carries ``max_frequency`` = |δ|
-    and the factored Lindblad product ``minus_i_h_rho``.
+    one term of :func:`_drive_provider`: the callable returns the 2^N×2^N
+    matrix P(t) and carries ``max_frequency`` = |δ|.
     """
     _check_space(drive, space)
-    return _drive_provider([(_force_operator(drive, SIGMA_X), drive.delta)], space)
+    return _drive_provider([(_force_operator(drive, SIGMA_X), drive.delta)])
 
 
 def hamiltonian_h1_provider(
     drive: DriveParams, space: HilbertSpace
 ) -> Callable[[float], np.ndarray]:
-    """Provider t ↦ H1(t), the full drive Hamiltonian including the Ω-oscillating terms.
+    """Provider t ↦ P(t) of H1(t), the full drive Hamiltonian including the Ω-oscillating terms.
 
     H1(t) = H2(t) + Σ_j η_j [a e^{i(δt + φ_j)} (e^{iΩt}|+⟩⟨-|_j - e^{-iΩt}|-⟩⟨+|_j) + h.c.]
 
     with H2 from :func:`hamiltonian_h2_provider`; the strong-driving
     approximation (Ω ≫ δ, η) discards the cross terms.  They have the same
-    S⊗a form as H2, with |+⟩⟨-| and -|-⟩⟨+| in place of σ^x, at δ + Ω and
-    δ - Ω, so H1 is three terms of :func:`_drive_provider` and
+    P⊗a form as H2, with |+⟩⟨-| and -|-⟩⟨+| in place of σ^x, at δ + Ω and
+    δ - Ω, so P(t) sums three terms of :func:`_drive_provider` and
     ``max_frequency`` is |δ| + |Ω|.
     """
     _check_space(drive, space)
@@ -256,8 +214,7 @@ def hamiltonian_h1_provider(
             (_force_operator(drive, SIGMA_X), drive.delta),
             (_force_operator(drive, PLUS_MINUS), drive.delta + drive.omega),
             (_force_operator(drive, -MINUS_PLUS), drive.delta - drive.omega),
-        ],
-        space,
+        ]
     )
 
 

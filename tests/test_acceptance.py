@@ -46,7 +46,7 @@ from geomgate.scenarios import (
     run_rwa_scan,
     run_trajectory,
 )
-from test_dynamics import _dense_provider
+from test_dynamics import _zero_provider
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -225,7 +225,7 @@ def test_criterion_7_solver_oracles():
     a = annihilation(10)
     cfg = IntegratorConfig(dt=0.01, t_end=3.0 / kappa, record_stride=5)
     res_c = evolve_lindblad(
-        _dense_provider(lambda t: np.zeros((cav.dim, cav.dim), dtype=complex)),
+        _zero_provider(cav.qubit_dim),
         DecoherenceRates(kappa=kappa),
         QuantumState.from_pure(cav, fock_state(10, 1)),
         None,
@@ -240,7 +240,7 @@ def test_criterion_7_solver_oracles():
     psi = np.kron(np.array([0.0, 1.0], dtype=complex), fock_state(2, 0))
     cfg = IntegratorConfig(dt=0.01, t_end=3.0 / gamma1, record_stride=5)
     res_q = evolve_lindblad(
-        _dense_provider(lambda t: np.zeros((qub.dim, qub.dim), dtype=complex)),
+        _zero_provider(qub.qubit_dim),
         DecoherenceRates(gamma1=gamma1),
         QuantumState.from_pure(qub, psi),
         np.array([0.0, 1.0], dtype=complex),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geomgate import dynamics
 from geomgate.core import (
     CAVITY,
     SIGMA_MINUS,
@@ -22,6 +23,7 @@ from geomgate.dynamics import (
     IntegratorConfig,
     IntegratorError,
     _Dissipator,
+    _drive_product,
     _rhs,
     evolve_lindblad,
     evolve_unitary,
@@ -41,24 +43,15 @@ from geomgate.model import (
     pair_coupling_rate,
     theta_of_schedule,
 )
-from test_model import _h2_literal
+from test_model import _dense_h, _h2_literal
 
 RNG = np.random.default_rng(7)
 
 
-def _dense_provider(h_of_t):
-    """Test oracle provider: dense H(t), and -i·H(t)·ρ by the literal dense product."""
-
-    def provider(t):
-        return h_of_t(t)
-
-    provider.minus_i_h_rho = lambda t, rho, out: np.matmul(-1j * h_of_t(t), rho, out=out)
-    return provider
-
-
-def _zero_provider(dim):
-    h = np.zeros((dim, dim), dtype=complex)
-    return _dense_provider(lambda t: h)
+def _zero_provider(qubit_dim):
+    """No drive: P(t) = 0 on a register of ``qubit_dim`` states."""
+    p = np.zeros((qubit_dim, qubit_dim), dtype=complex)
+    return lambda t: p
 
 
 def _random_density(dim):
@@ -67,9 +60,9 @@ def _random_density(dim):
     return rho / np.trace(rho)
 
 
-def _random_hermitian(dim):
-    m = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
-    return 0.5 * (m + m.conj().T)
+def _random_register(q):
+    """A random complex P: any P gives the Hermitian drive H = P⊗a + h.c."""
+    return RNG.normal(size=(q, q)) + 1j * RNG.normal(size=(q, q))
 
 
 def _dense_lindblad_rhs(h, rho, rates, space):
@@ -159,25 +152,33 @@ class TestDissipatorAgainstDenseReference:
     def test_structured_equals_dense(self, n_qubits, cavity_dim, rates):
         space = HilbertSpace(n_qubits, cavity_dim)
         rho = _random_density(space.dim)
-        h = _random_hermitian(space.dim)
+        p = _random_register(space.qubit_dim)
         got = _rhs(
-            _dense_provider(lambda t: h),
+            lambda t: p,
             0.0,
             rho,
+            _drive_product(space),
             _Dissipator(rates, space),
             np.empty_like(rho),
             np.empty_like(rho),
         )
-        want = _dense_lindblad_rhs(h, rho, rates, space)
+        want = _dense_lindblad_rhs(_dense_h(p, cavity_dim), rho, rates, space)
         np.testing.assert_allclose(got, want, atol=1e-13)
 
     def test_zero_rates_reduce_to_commutator(self):
         space = HilbertSpace(1, 4)
         rho = _random_density(8)
-        h = _random_hermitian(8)
+        p = _random_register(2)
+        h = _dense_h(p, 4)
         diss = _Dissipator(DecoherenceRates(), space)
         got = _rhs(
-            _dense_provider(lambda t: h), 0.0, rho, diss, np.empty_like(rho), np.empty_like(rho)
+            lambda t: p,
+            0.0,
+            rho,
+            _drive_product(space),
+            diss,
+            np.empty_like(rho),
+            np.empty_like(rho),
         )
         np.testing.assert_allclose(got, 1j * (rho @ h - h @ rho), atol=1e-13)
 
@@ -254,7 +255,7 @@ class TestLindbladOracles:
         n_op = embed(a.conj().T @ a, CAVITY, space)
         cfg = IntegratorConfig(dt=0.01, t_end=2.0, record_stride=10)
         res = evolve_lindblad(
-            _zero_provider(space.dim),
+            _zero_provider(space.qubit_dim),
             DecoherenceRates(kappa=kappa),
             QuantumState.from_pure(space, fock_state(10, 1)),
             None,
@@ -271,7 +272,7 @@ class TestLindbladOracles:
         psi = np.kron(np.array([0.0, 1.0], dtype=complex), fock_state(2, 0))
         cfg = IntegratorConfig(dt=0.01, t_end=3.0, record_stride=10)
         res = evolve_lindblad(
-            _zero_provider(space.dim),
+            _zero_provider(space.qubit_dim),
             DecoherenceRates(gamma1=gamma1),
             QuantumState.from_pure(space, psi),
             np.array([0.0, 1.0], dtype=complex),
@@ -287,7 +288,7 @@ class TestLindbladOracles:
         sx = embed(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), 1, space)
         cfg = IntegratorConfig(dt=0.005, t_end=2.0, record_stride=20)
         res = evolve_lindblad(
-            _zero_provider(space.dim),
+            _zero_provider(space.qubit_dim),
             DecoherenceRates(gamma2=gamma2),
             QuantumState.from_pure(space, plus),
             None,
@@ -319,7 +320,7 @@ class TestLindbladOracles:
         space = HilbertSpace(0, 4)
         cfg = IntegratorConfig(dt=0.1, t_end=1.0, record_stride=3)
         res = evolve_lindblad(
-            _zero_provider(space.dim),
+            _zero_provider(space.qubit_dim),
             DecoherenceRates(kappa=0.2),
             QuantumState.from_pure(space, fock_state(4, 1)),
             None,
@@ -335,10 +336,10 @@ class TestLindbladOracles:
         state = QuantumState.from_pure(space, ground_state(space))
         cfg = IntegratorConfig(dt=0.1, t_end=0.5)
         with pytest.raises(ValueError, match="target"):
-            evolve_lindblad(_zero_provider(4), DecoherenceRates(), state, np.ones(3), cfg)
+            evolve_lindblad(_zero_provider(2), DecoherenceRates(), state, np.ones(3), cfg)
         with pytest.raises(ValueError, match="observable"):
             evolve_lindblad(
-                _zero_provider(4),
+                _zero_provider(2),
                 DecoherenceRates(),
                 state,
                 None,
@@ -347,8 +348,9 @@ class TestLindbladOracles:
             )
 
     def test_rejects_provider_without_factored_product(self):
+        # a provider of the dense joint H(t) instead of the register matrix P(t)
         space = HilbertSpace(1, 2)
-        with pytest.raises(TypeError, match="minus_i_h_rho"):
+        with pytest.raises(ValueError, match=r"shape \(4, 4\), expected \(2, 2\)"):
             evolve_lindblad(
                 lambda t: np.zeros((4, 4), dtype=complex),
                 DecoherenceRates(),
@@ -359,11 +361,11 @@ class TestLindbladOracles:
 
     def test_aborts_on_non_finite_hamiltonian(self):
         space = HilbertSpace(1, 2)
-        bad = np.full((4, 4), np.nan, dtype=complex)
+        bad = np.full((2, 2), np.nan, dtype=complex)
         cfg = IntegratorConfig(dt=0.1, t_end=0.5)
         with pytest.raises(IntegratorError, match="non-finite"):
             evolve_lindblad(
-                _dense_provider(lambda t: bad),
+                lambda t: bad,
                 DecoherenceRates(),
                 QuantumState.from_pure(space, ground_state(space)),
                 None,
@@ -395,34 +397,37 @@ class TestEvolveUnitary:
     def test_no_hamiltonian_gives_identity(self):
         psi = np.array([1.0, 0.0], dtype=complex)
         cfg = IntegratorConfig(dt=0.1, t_end=1.0)
-        out = evolve_unitary(_zero_provider(2), psi, cfg)
-        u = evolve_unitary(_zero_provider(2), np.eye(2), cfg)
+        out = evolve_unitary(_zero_provider(1), psi, cfg)
+        u = evolve_unitary(_zero_provider(1), np.eye(2), cfg)
         np.testing.assert_allclose(u, np.eye(2), atol=1e-15)
         np.testing.assert_allclose(out, psi, atol=1e-15)
 
     def test_constant_sigma_z_phase_evolution(self):
+        # P = ω/2 on one register state and a two-level cavity gives H = (ω/2)σ^x,
+        # which is (ω/2)σ^z in the Hadamard basis
         omega, t_end = 1.7, 2.0
-        h = 0.5 * omega * SIGMA_Z
-        psi0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+        p = np.array([[0.5 * omega]], dtype=complex)
+        had = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+        psi0 = np.array([1.0, 0.0], dtype=complex)  # had @ |+⟩
         cfg = IntegratorConfig(dt=0.01, t_end=t_end)
-        psi = evolve_unitary(lambda t: h, psi0, cfg)
-        u = evolve_unitary(lambda t: h, np.eye(2), cfg)
-        expected_u = np.diag(
+        psi = evolve_unitary(lambda t: p, psi0, cfg)
+        u = evolve_unitary(lambda t: p, np.eye(2), cfg)
+        expected_u = had @ np.diag(
             [np.exp(-0.5j * omega * t_end), np.exp(0.5j * omega * t_end)]
-        )
+        ) @ had
         np.testing.assert_allclose(u, expected_u, atol=1e-10)
         np.testing.assert_allclose(psi, expected_u @ psi0, atol=1e-10)
 
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ValueError, match="normalized"):
             evolve_unitary(
-                _zero_provider(2), np.array([1.0, 1.0]), IntegratorConfig(dt=0.1, t_end=1.0)
+                _zero_provider(1), np.array([1.0, 1.0]), IntegratorConfig(dt=0.1, t_end=1.0)
             )
 
     def test_rejects_non_orthonormal_block(self):
         block = np.array([[1.0, 1.0], [0.0, 1.0]]) / np.array([1.0, math.sqrt(2.0)])
         with pytest.raises(ValueError, match="normalized"):
-            evolve_unitary(_zero_provider(2), block, IntegratorConfig(dt=0.1, t_end=1.0))
+            evolve_unitary(_zero_provider(1), block, IntegratorConfig(dt=0.1, t_end=1.0))
 
     def test_identity_block_matches_basis_vectors(self):
         # the block product (BLAS gemm) and the vector product (gemv) may sum
@@ -442,17 +447,20 @@ class TestEvolveUnitary:
         [np.array([0.0, 1.0], dtype=complex), np.eye(2, dtype=complex)],
         ids=["vector", "block"],
     )
-    def test_detects_norm_drift_from_non_hermitian_generator(self, initial):
-        h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # nilpotent, not Hermitian
-        with pytest.raises(IntegratorError):
-            evolve_unitary(lambda t: h, initial, IntegratorConfig(dt=0.05, t_end=2.0))
+    def test_detects_norm_drift_from_non_hermitian_generator(self, initial, monkeypatch):
+        # a step that grows the array by 0.1%, as a non-Hermitian generator would
+        monkeypatch.setattr(dynamics, "_expm_action", lambda a, theta, x: 1.001 * x)
+        with pytest.raises(IntegratorError, match="drifted"):
+            evolve_unitary(_zero_provider(1), initial, IntegratorConfig(dt=0.05, t_end=2.0))
 
     @pytest.mark.parametrize("theta", [0.0, 1e-3, 0.5, 3.7, 40.0])
     @pytest.mark.parametrize("dim", [8, 64])
     def test_step_matches_matexp_oracle(self, dim, theta):
         # one step at θ = dt·‖H‖₁; θ > 1 takes ⌈θ⌉ substeps.  Tolerance: the
         # Taylor remainder is ≤ 2⁻⁵³ per substep, so only roundoff is left
-        h = _random_hermitian(dim) if theta else np.zeros((dim, dim), dtype=complex)
+        q = 2 if dim == 8 else 4
+        p = _random_register(q) if theta else np.zeros((q, q), dtype=complex)
+        h = _dense_h(p, dim // q)
         dt = theta / np.abs(h).sum(axis=0).max() if theta else 0.1
         cfg = IntegratorConfig(dt=dt, t_end=dt)
         assert cfg.n_steps == 1
@@ -461,18 +469,22 @@ class TestEvolveUnitary:
         step = matexp(-1j * cfg.dt_effective * h)
         for x in (psi / np.linalg.norm(psi), block):
             np.testing.assert_allclose(
-                evolve_unitary(lambda t: h, x, cfg), step @ x, rtol=0, atol=1e-13
+                evolve_unitary(lambda t: p, x, cfg), step @ x, rtol=0, atol=1e-13
             )
+
+    def test_rejects_register_matrix_that_does_not_divide_dim(self):
+        with pytest.raises(ValueError, match="dividing 4"):
+            evolve_unitary(_zero_provider(3), np.eye(4)[0], IntegratorConfig(dt=0.1, t_end=1.0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("initial", [np.eye(4)[0], np.eye(4)[:, :2]], ids=["vector", "block"])
     def test_non_finite_hamiltonian_aborts_with_step(self, bad, initial):
-        h_bad = np.zeros((4, 4), dtype=complex)
-        h_bad[1, 2] = bad
+        p_bad = np.zeros((2, 2), dtype=complex)
+        p_bad[1, 0] = bad
 
         def provider(t):
             # finite at the first two midpoints (0.05, 0.15), then one bad entry
-            return h_bad if t > 0.2 else np.zeros((4, 4), dtype=complex)
+            return p_bad if t > 0.2 else np.zeros((2, 2), dtype=complex)
 
         with pytest.raises(IntegratorError, match="non-finite Hamiltonian at step 3/5"):
             evolve_unitary(provider, initial, IntegratorConfig(dt=0.1, t_end=0.5))

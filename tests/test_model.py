@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomgate.core import CAVITY, HilbertSpace, annihilation, embed, matexp
-from geomgate.dynamics import propagator_gate_distance
+from geomgate.dynamics import _drive_product, propagator_gate_distance
 from geomgate.model import (
     DriveParams,
     PhysicalParams,
@@ -53,6 +54,14 @@ class TestEffectiveCoupling:
         with pytest.raises(ValueError):
             PhysicalParams(g=0.1, omega_l=0.1, delta_big=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("name", ["g", "omega_l", "delta_big", "delta_small"])
+    def test_rejects_non_finite_fields(self, name, bad):
+        # NaN passes `delta_big <= 0` and silences the 10x warning; inf gives η = 0
+        fields = {"g": 0.1, "omega_l": 0.1, "delta_big": 1.0, "delta_small": 0.0, name: bad}
+        with pytest.raises(ValueError, match="finite"):
+            PhysicalParams(**fields)
+
     def test_warns_outside_dispersive_regime(self):
         with pytest.warns(UserWarning, match="dispersive"):
             PhysicalParams(g=0.1, omega_l=0.1, delta_big=0.3, delta_small=0.1)
@@ -71,6 +80,12 @@ def _drive(n=2, delta=4.0, omega=0.0, phis=None, etas=None):
         delta=delta,
         omega=omega,
     )
+
+
+def _dense_h(p, d):
+    """Test oracle: the dense drive H = P⊗a + P†⊗a† of a register matrix P and a d-level cavity."""
+    u = np.kron(p, np.diag(np.sqrt(np.arange(1.0, d)), k=1))  # a; zero at d = 1
+    return u + u.conj().T
 
 
 def _h2_literal(drive, space, t):
@@ -102,6 +117,7 @@ def _h1_literal(drive, space, t):
 
 class TestDriveHamiltonians:
     def test_zero_couplings_give_zero_matrix(self):
+        # P(t) is zero, and with it the drive H(t)
         space = HilbertSpace(2, 3)
         drive = _drive(etas=(0.0, 0.0), omega=30.0)
         assert np.abs(hamiltonian_h2_provider(drive, space)(0.7)).max() == 0.0
@@ -112,7 +128,7 @@ class TestDriveHamiltonians:
         a = annihilation(5)
         expected = np.kron(SX, a + a.conj().T)
         np.testing.assert_allclose(
-            hamiltonian_h2_provider(_drive(1), space)(0.0), expected, atol=1e-14
+            _dense_h(hamiltonian_h2_provider(_drive(1), space)(0.0), 5), expected, atol=1e-14
         )
 
     def test_force_form_at_quarter_period(self):
@@ -122,7 +138,7 @@ class TestDriveHamiltonians:
         t = (math.pi / 2.0) / 4.0
         expected = np.kron(SX, 1j * a - 1j * a.conj().T)
         np.testing.assert_allclose(
-            hamiltonian_h2_provider(_drive(1), space)(t), expected, atol=1e-12
+            _dense_h(hamiltonian_h2_provider(_drive(1), space)(t), 5), expected, atol=1e-12
         )
 
     def test_phase_shift_by_pi_flips_sign(self):
@@ -155,7 +171,7 @@ class TestDriveHamiltonians:
                     )
                 )
                 cross += term + term.conj().T
-            np.testing.assert_allclose(p1(t) - p2(t), cross, atol=1e-12)
+            np.testing.assert_allclose(_dense_h(p1(t) - p2(t), 4), cross, atol=1e-12)
 
     def test_providers_match_literal_builders(self):
         space = HilbertSpace(2, 4)
@@ -163,8 +179,9 @@ class TestDriveHamiltonians:
         p1 = hamiltonian_h1_provider(drive, space)
         p2 = hamiltonian_h2_provider(drive, space)
         for t in (0.0, 0.41, 2.9):
-            np.testing.assert_allclose(p2(t), _h2_literal(drive, space, t), atol=1e-12)
-            np.testing.assert_allclose(p1(t), _h1_literal(drive, space, t), atol=1e-12)
+            assert p2(t).shape == p1(t).shape == (4, 4)
+            np.testing.assert_allclose(_dense_h(p2(t), 4), _h2_literal(drive, space, t), atol=1e-12)
+            np.testing.assert_allclose(_dense_h(p1(t), 4), _h1_literal(drive, space, t), atol=1e-12)
         assert p2.max_frequency == pytest.approx(4.0)
         assert p1.max_frequency == pytest.approx(29.0)
 
@@ -186,11 +203,30 @@ class TestDriveHamiltonians:
     @settings(max_examples=20, deadline=None)
     @given(t=st.floats(0.0, 10.0), phi=st.floats(-math.pi, math.pi), omega=st.floats(5.0, 60.0))
     def test_builders_always_hermitian(self, t, phi, omega):
+        # P⊗a + h.c. is Hermitian for any P; what must hold everywhere is that
+        # it is the literal (Hermitian) H1/H2
         space = HilbertSpace(2, 3)
         drive = _drive(2, omega=omega, phis=(phi, -0.5 * phi))
-        for provider in (hamiltonian_h2_provider, hamiltonian_h1_provider):
-            h = provider(drive, space)(t)
+        for provider, literal in (
+            (hamiltonian_h2_provider, _h2_literal),
+            (hamiltonian_h1_provider, _h1_literal),
+        ):
+            h = _dense_h(provider(drive, space)(t), 3)
             assert np.abs(h - h.conj().T).max() < 1e-12
+            np.testing.assert_allclose(h, literal(drive, space, t), rtol=0, atol=1e-12)
+
+    def test_providers_hold_only_register_matrices(self):
+        # N=6, d=32 is dim 2048: one dense H(t) there would take 64 MiB
+        space = HilbertSpace(6, 32)
+        drive = _drive(6, omega=30.0)
+        tracemalloc.start()
+        try:
+            for provider in (hamiltonian_h2_provider, hamiltonian_h1_provider):
+                assert provider(drive, space)(0.3).shape == (64, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @settings(max_examples=20, deadline=None)
     @given(t=st.floats(0.0, 5.0), c=st.floats(-math.pi, math.pi))
@@ -203,7 +239,7 @@ class TestDriveHamiltonians:
 
 
 class TestFactoredProduct:
-    """``minus_i_h_rho`` must equal -i·H(t)·ρ with the literal dense H(t)."""
+    """The Lindblad drive product of P(t) must equal -i·H(t)·ρ with the literal dense H(t)."""
 
     @pytest.mark.parametrize("cavity_dim", [2, 5, 8])
     @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
@@ -220,6 +256,7 @@ class TestFactoredProduct:
         rho = a @ a.conj().T
         rho /= np.trace(rho)
         out = np.empty_like(rho)
+        h_rho = _drive_product(space)
         for provider, literal in (
             (hamiltonian_h2_provider, _h2_literal),
             (hamiltonian_h1_provider, _h1_literal),
@@ -227,14 +264,7 @@ class TestFactoredProduct:
             p = provider(drive, space)
             for t in (0.0, 0.37, 1.9, 11.3):
                 want = -1j * literal(drive, space, t) @ rho
-                np.testing.assert_allclose(p.minus_i_h_rho(t, rho, out), want, rtol=0, atol=1e-13)
-
-    def test_rejects_out_that_is_not_c_contiguous(self):
-        space = HilbertSpace(1, 3)
-        p = hamiltonian_h2_provider(_drive(1), space)
-        rho = np.eye(space.dim, dtype=complex) / space.dim
-        with pytest.raises(ValueError, match="C-contiguous"):
-            p.minus_i_h_rho(0.1, rho, np.empty_like(rho).T)
+                np.testing.assert_allclose(h_rho(p(t), rho, out), want, rtol=0, atol=1e-13)
 
 
 class TestTrajectory:

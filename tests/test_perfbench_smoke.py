@@ -1,0 +1,26 @@
+"""The benchmark harness still runs against this tree.
+
+``perfbench/tracing.py`` re-wraps every provider and patches ``matexp`` by
+name on ``geomgate.dynamics`` and ``geomgate.model``; a change to either
+contract breaks the traced runs, which ``--smoke`` covers at toy sizes.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_perfbench_smoke_passes():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--smoke"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    last = proc.stdout.strip().splitlines()[-1]
+    assert json.loads(last)["smoke"] == "passed", proc.stderr[-2000:]

@@ -175,22 +175,34 @@ class TestBellScenario:
 
     def test_provider_survives_a_tracing_wrapper(self, tmp_path, monkeypatch):
         # perfbench/tracing.py re-wraps each provider in a plain function and copies
-        # only its __dict__: everything the Lindblad path needs must be an attribute
-        spec = ScenarioSpec(kind="bell", cavity_dim=8, output_path=str(tmp_path / "b.csv"))
-        plain = run_bell(spec)["final_fidelity"]
-        build = scenarios.hamiltonian_h2_provider
+        # only its __dict__: a provider is t ↦ P(t), and max_frequency, which the
+        # step plan reads, must be an attribute.  Bell runs H2 through the Lindblad
+        # path, a small rwa-scan runs H1 and H2 through evolve_unitary
+        bell = ScenarioSpec(kind="bell", cavity_dim=8, output_path=str(tmp_path / "b.csv"))
+        rwa = ScenarioSpec(
+            kind="rwa-scan", n_qubits=1, cavity_dim=4, output_path=str(tmp_path / "r.csv")
+        )
 
-        def rewrapped(*args, **kwargs):
-            h_of_t = build(*args, **kwargs)
+        def both():
+            return run_bell(bell)["final_fidelity"], run_rwa_scan(rwa, (50.0,))["points"]
 
-            def traced(*a, **k):
-                return h_of_t(*a, **k)
+        plain = both()
 
-            traced.__dict__.update(h_of_t.__dict__)
-            return traced
+        def rewrap(build):
+            def rewrapped(*args, **kwargs):
+                h_of_t = build(*args, **kwargs)
 
-        monkeypatch.setattr(scenarios, "hamiltonian_h2_provider", rewrapped)
-        assert run_bell(spec)["final_fidelity"] == plain
+                def traced(*a, **k):
+                    return h_of_t(*a, **k)
+
+                traced.__dict__.update(h_of_t.__dict__)
+                return traced
+
+            return rewrapped
+
+        for name in ("hamiltonian_h1_provider", "hamiltonian_h2_provider"):
+            monkeypatch.setattr(scenarios, name, rewrap(getattr(scenarios, name)))
+        assert both() == plain
 
     @pytest.mark.parametrize("dphi", [0.0, 0.5, 1.0, math.pi / 2, 2.5])
     def test_phase_difference_tunes_the_gate(self, tmp_path, dphi):
