@@ -36,10 +36,8 @@ __all__ = [
     "matexp",
     "annihilation",
     "embed",
-    "partial_trace_cavity",
     "fock_state",
     "ground_state",
-    "displaced_vacuum",
     "quadrature_x",
     "quadrature_p",
 ]
@@ -211,30 +209,6 @@ def _reduced_qubit_rho(rho: np.ndarray, n_qubits: int, cavity_dim: int) -> np.nd
     return np.trace(r4, axis1=1, axis2=3)
 
 
-def partial_trace_cavity(
-    state: QuantumState | np.ndarray, space: HilbertSpace | None = None
-) -> np.ndarray:
-    """Trace out the cavity, returning the 2^N × 2^N reduced qubit matrix.
-
-    Accepts either a validated :class:`QuantumState` or a raw density matrix
-    plus its :class:`HilbertSpace`.
-
-    Raises
-    ------
-    ValueError
-        On dimension mismatch between the matrix and the space.
-    """
-    if isinstance(state, QuantumState):
-        rho, space = state.rho, state.space
-    else:
-        if space is None:
-            raise ValueError("a HilbertSpace is required when passing a raw matrix")
-        rho = np.asarray(state, dtype=complex)
-    if rho.shape != (space.dim, space.dim):
-        raise ValueError(f"rho has shape {rho.shape}, expected ({space.dim}, {space.dim})")
-    return _reduced_qubit_rho(rho, space.n_qubits, space.cavity_dim)
-
-
 def fock_state(d: int, n: int) -> np.ndarray:
     """Fock basis vector |n⟩ on a ``d``-level cavity."""
     if not 0 <= n < d:
@@ -249,17 +223,6 @@ def ground_state(space: HilbertSpace) -> np.ndarray:
     psi = np.zeros(space.dim, dtype=complex)
     psi[0] = 1.0
     return psi
-
-
-def displaced_vacuum(d: int, alpha: complex) -> np.ndarray:
-    """Coherent-like state D(α)|0⟩ = exp(αa† - α*a)|0⟩ on a truncated cavity.
-
-    Faithful only while the populated levels stay well inside the truncation
-    (|α|² + a few standard deviations below ``d``).
-    """
-    a = annihilation(d)
-    disp = matexp(alpha * a.conj().T - np.conj(alpha) * a)
-    return disp @ fock_state(d, 0)
 
 
 def quadrature_x(d: int) -> np.ndarray:

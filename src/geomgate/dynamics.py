@@ -36,9 +36,7 @@ __all__ = [
     "IntegratorError",
     "evolve_lindblad",
     "evolve_unitary",
-    "fidelity",
     "max_fidelity",
-    "propagator_gate_distance",
 ]
 
 # t ↦ P(t), the register matrix of the drive H(t) = P(t)⊗a + P(t)†⊗a† (see model)
@@ -126,9 +124,8 @@ class EvolutionResult:
 
     ``times``, ``fidelities``, ``traces`` and ``purities`` share one length;
     ``observables`` adds named series of the same length.  ``fidelities`` is
-    NaN-filled when the run had no target state.  Diagnostics:
-    ``positivity_checks`` holds (time, min eigenvalue) spot checks and
-    ``max_hermiticity_drift`` the largest pre-resymmetrization asymmetry seen.
+    NaN-filled when the run had no target state.  ``positivity_checks``
+    holds (time, min eigenvalue) spot checks of ρ.
     """
 
     times: np.ndarray = field(repr=False)
@@ -138,7 +135,6 @@ class EvolutionResult:
     observables: dict[str, np.ndarray] | None = None
     final_rho: np.ndarray | None = field(default=None, repr=False)
     positivity_checks: list[tuple[float, float]] = field(default_factory=list)
-    max_hermiticity_drift: float = 0.0
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -343,6 +339,15 @@ def evolve_lindblad(
     ``positivity_checks``; the full ``eigvalsh`` costs more than the rest of a
     record, so it is not taken on every one.
 
+    ρ stays exactly Hermitian, bit for bit, with no re-symmetrisation per
+    step.  The initial ρ is replaced by (ρ + ρ†)/2 once, which is exactly
+    Hermitian.  From then on every operation maps such a ρ to another one:
+    a right-hand side forms E + E† as conj(Eᵀ) + E, whose (i, k) and (k, i)
+    entries are conjugate sums of the same two numbers; the dissipator's
+    weights are symmetric, w[i, k] = w[k, i], and are summed in the same order
+    at (i, k) and (k, i); and RK4 combines the stages with real scalars only.
+    A change to any of these must restore the per-step symmetrisation.
+
     Raises
     ------
     ValueError
@@ -376,15 +381,18 @@ def evolve_lindblad(
 
     # C order: the drive product and the dissipator read each stage through reshaped views
     rho = np.array(initial.rho, dtype=complex, order="C")
-    # RK4 stages, the stage state and the -iHρ / ρ† scratch, reused every step
+    # RK4 stages, the stage state and the -iHρ scratch, reused every step
     k1, k2, k3, k4, stage, work = (np.empty_like(rho) for _ in range(6))
+    # ρ = (ρ + ρ†)/2 once: |ψ⟩⟨ψ| of a complex ψ is Hermitian only to roundoff,
+    # and the steps below keep whatever asymmetry the start has
+    rho += np.conjugate(rho.T, out=work)
+    rho *= 0.5
     times: list[float] = []
     fids: list[float] = []
     traces: list[float] = []
     purities: list[float] = []
     obs_records: dict[str, list[float]] = {name: [] for name, _ in obs_items}
     positivity: list[tuple[float, float]] = []
-    herm_drift = 0.0
 
     def record(t: float) -> None:
         times.append(t)
@@ -418,14 +426,6 @@ def evolve_lindblad(
         k1 += k4
         k1 *= dt / 6.0
         rho += k1
-        rho_h = np.conjugate(rho.T, out=work)
-        recording = step % stride == 0 or step == n_steps
-        if recording:
-            drift = np.abs(np.subtract(rho, rho_h, out=stage)).max()
-            herm_drift = max(herm_drift, float(drift))
-        # re-symmetrize every step: keeps roundoff asymmetry from compounding
-        rho += rho_h
-        rho *= 0.5
         tr = np.trace(rho)
         if not np.isfinite(tr.real) or not np.isfinite(tr.imag):
             raise IntegratorError(
@@ -436,7 +436,7 @@ def evolve_lindblad(
                 f"trace drifted to {tr.real:.9f} at step {step}/{n_steps} "
                 f"(t={step * dt:.6g}); reduce dt or cavity load"
             )
-        if recording:
+        if step % stride == 0 or step == n_steps:
             record(step * dt)
 
     return EvolutionResult(
@@ -447,7 +447,6 @@ def evolve_lindblad(
         observables={name: np.asarray(vals) for name, vals in obs_records.items()} or None,
         final_rho=rho,
         positivity_checks=positivity,
-        max_hermiticity_drift=herm_drift,
     )
 
 
@@ -494,39 +493,23 @@ def evolve_unitary(
     flat = h.reshape(-1)
     n_steps = cfg.n_steps
     dt = cfg.dt_effective
-    for step in range(1, n_steps + 1):
-        u = (h_of_t((step - 0.5) * dt)[:, :, None] * sqrt_n).ravel()
-        flat[upper] = u
-        flat[lower] = u.conj()
-        theta = dt * float(np.abs(h).sum(axis=0).max())
-        if not math.isfinite(theta):
-            raise IntegratorError(f"non-finite Hamiltonian at step {step}/{n_steps}")
-        x = _expm_action(-1j * dt * h, theta, x)
-        if not np.all(np.isfinite(x)):
-            raise IntegratorError(f"non-finite state at step {step}/{n_steps}")
+    # an inf in P(t) turns into NaN (inf·0j) and overflow on its way to θ; the θ and
+    # state checks raise on every such step, so numpy's warnings would only precede them
+    with np.errstate(invalid="ignore", over="ignore"):
+        for step in range(1, n_steps + 1):
+            u = (h_of_t((step - 0.5) * dt)[:, :, None] * sqrt_n).ravel()
+            flat[upper] = u
+            flat[lower] = u.conj()
+            theta = dt * float(np.abs(h).sum(axis=0).max())
+            if not math.isfinite(theta):
+                raise IntegratorError(f"non-finite Hamiltonian at step {step}/{n_steps}")
+            x = _expm_action(-1j * dt * h, theta, x)
+            if not np.all(np.isfinite(x)):
+                raise IntegratorError(f"non-finite state at step {step}/{n_steps}")
     drift = _gram_drift(x)
     if drift > 1e-8:
         raise IntegratorError(f"max|X†X - I| drifted to {drift:.3e} over {n_steps} steps")
     return x
-
-
-def fidelity(rho_q: np.ndarray, target: np.ndarray) -> float:
-    """Overlap ⟨target|ρ|target⟩ of a density matrix with a pure target state.
-
-    Raises
-    ------
-    ValueError
-        On dimension mismatch, or if the overlap has an imaginary part above
-        1e-10 (symptom of a non-Hermitian input).
-    """
-    rho_q = np.asarray(rho_q, dtype=complex)
-    target = np.asarray(target, dtype=complex).reshape(-1)
-    if rho_q.shape != (target.size, target.size):
-        raise ValueError(f"rho dimension {rho_q.shape} does not match target length {target.size}")
-    val = complex(np.vdot(target, rho_q @ target))
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"fidelity has imaginary part {val.imag:.3e}; rho is not Hermitian")
-    return float(val.real)
 
 
 def max_fidelity(result: EvolutionResult) -> tuple[float, float]:
@@ -541,35 +524,3 @@ def max_fidelity(result: EvolutionResult) -> tuple[float, float]:
         raise ValueError("empty evolution result")
     idx = int(np.argmax(result.fidelities))
     return float(result.times[idx]), float(result.fidelities[idx])
-
-
-def propagator_gate_distance(
-    propagator: np.ndarray,
-    gate: np.ndarray,
-    space: HilbertSpace,
-    n_fock_keep: int | None = None,
-) -> float:
-    """Phase-aligned max-entry distance between a joint propagator and gate ⊗ I_cavity.
-
-    The comparison is restricted to the sub-block of Fock levels
-    ``0..n_fock_keep-1``: columns starting near the truncation edge cannot
-    execute the intermediate cavity displacement and carry truncation error
-    unrelated to the gate.  ``n_fock_keep`` should leave the displacement
-    loop headroom (a few levels above the largest loop excursion).  The
-    global phase is fixed by trace alignment before taking the distance.
-    """
-    nq, d = space.qubit_dim, space.cavity_dim
-    if propagator.shape != (space.dim, space.dim):
-        raise ValueError(f"propagator shape {propagator.shape} does not match space dim {space.dim}")
-    if gate.shape != (nq, nq):
-        raise ValueError(f"gate shape {gate.shape} does not match qubit dim {nq}")
-    keep = d if n_fock_keep is None else n_fock_keep
-    if not 1 <= keep <= d:
-        raise ValueError(f"n_fock_keep must be in 1..{d}, got {keep}")
-    sub_idx = (np.arange(nq * d).reshape(nq, d)[:, :keep]).ravel()
-    block = propagator[np.ix_(sub_idx, sub_idx)]
-    ref = np.kron(gate, np.eye(keep, dtype=complex))
-    overlap = complex(np.einsum("ij,ij->", ref.conj(), block))
-    if abs(overlap) > 0:
-        block = block * (overlap.conjugate() / abs(overlap))
-    return float(np.abs(block - ref).max())

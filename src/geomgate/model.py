@@ -2,8 +2,6 @@
 
 Unit convention: every rate is expressed in units of a reference coupling η
 (η = 1 internally) and time in 1/η, so typical inputs are order-1 numbers.
-:func:`rate_to_mhz` / :func:`time_to_us` convert to hardware units for the
-reference point η = 2π × 10 MHz.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from .core import (
 )
 
 __all__ = [
-    "ETA_REFERENCE_MHZ",
     "PhysicalParams",
     "DriveParams",
     "Trajectory",
@@ -39,12 +36,7 @@ __all__ = [
     "gate_unitary",
     "bell_target",
     "ghz_target",
-    "rate_to_mhz",
-    "time_to_us",
 ]
-
-#: Reference value of η used by the physical-unit helpers: η = 2π × 10 MHz.
-ETA_REFERENCE_MHZ = 10.0
 
 # |+⟩⟨-| and |-⟩⟨+| in the computational basis, with |±⟩ = (|0⟩ ± |1⟩)/√2.
 PLUS_MINUS = 0.5 * np.array([[1.0, -1.0], [1.0, -1.0]], dtype=complex)
@@ -364,13 +356,3 @@ def ghz_target(n: int) -> np.ndarray:
     psi0 = np.zeros(2**n, dtype=complex)
     psi0[0] = 1.0
     return gate_unitary(math.pi / 4.0, n) @ psi0
-
-
-def rate_to_mhz(rate_over_eta: float, eta_mhz: float = ETA_REFERENCE_MHZ) -> float:
-    """Convert a rate in units of η to MHz (ordinary frequency) for η = 2π·eta_mhz."""
-    return rate_over_eta * eta_mhz
-
-
-def time_to_us(t_over_inv_eta: float, eta_mhz: float = ETA_REFERENCE_MHZ) -> float:
-    """Convert a time in units of 1/η to microseconds for η = 2π·eta_mhz."""
-    return t_over_inv_eta / (2.0 * math.pi * eta_mhz)

@@ -12,13 +12,12 @@ from geomgate.core import (
     SIGMA_X,
     HilbertSpace,
     QuantumState,
+    _reduced_qubit_rho,
     annihilation,
-    displaced_vacuum,
     embed,
     fock_state,
     ground_state,
     matexp,
-    partial_trace_cavity,
     quadrature_x,
 )
 
@@ -36,6 +35,12 @@ def _random_density(dim: int) -> np.ndarray:
     a = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+def _displaced_vacuum(d: int, alpha: complex) -> np.ndarray:
+    """Test helper: D(α)|0⟩ = exp(αa† − α*a)|0⟩ on a d-level cavity, via matexp."""
+    a = annihilation(d)
+    return matexp(alpha * a.conj().T - np.conj(alpha) * a) @ fock_state(d, 0)
 
 
 class TestMatexp:
@@ -153,14 +158,14 @@ class TestPartialTraceCavity:
         cav = np.zeros((3, 3), dtype=complex)
         cav[0, 0] = 1.0
         state = QuantumState(space, np.kron(rho_q, cav))
-        np.testing.assert_allclose(partial_trace_cavity(state), rho_q, atol=1e-14)
+        np.testing.assert_allclose(_reduced_qubit_rho(state.rho, 2, 3), rho_q, atol=1e-14)
 
     def test_mixed_cavity_product_state(self):
         space = HilbertSpace(2, 3)
         rho_q = _random_density(4)
         cav = np.diag([0.5, 0.5, 0.0]).astype(complex)
         state = QuantumState(space, np.kron(rho_q, cav))
-        np.testing.assert_allclose(partial_trace_cavity(state), rho_q, atol=1e-14)
+        np.testing.assert_allclose(_reduced_qubit_rho(state.rho, 2, 3), rho_q, atol=1e-14)
 
     def test_maximally_entangled_qubit_cavity(self):
         space = HilbertSpace(1, 2)
@@ -175,30 +180,23 @@ class TestPartialTraceCavity:
                     expected[i, j] += rho[2 * i + n, 2 * j + n]
         np.testing.assert_allclose(expected, np.eye(2) / 2.0, atol=1e-15)
         np.testing.assert_allclose(
-            partial_trace_cavity(QuantumState(space, rho)), expected, atol=1e-14
+            _reduced_qubit_rho(QuantumState(space, rho).rho, 1, 2), expected, atol=1e-14
         )
 
     def test_trace_preserving_and_linear(self):
-        space = HilbertSpace(1, 4)
         rho1, rho2 = _random_density(8), _random_density(8)
-        pt = lambda r: partial_trace_cavity(r, space)
+        pt = lambda r: _reduced_qubit_rho(r, 1, 4)
         assert abs(np.trace(pt(rho1)) - np.trace(rho1)) < 1e-10
         np.testing.assert_allclose(
             pt(0.3 * rho1 + 0.7 * rho2), 0.3 * pt(rho1) + 0.7 * pt(rho2), atol=1e-12
         )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            partial_trace_cavity(np.eye(5), HilbertSpace(1, 2))
-        with pytest.raises(ValueError):
-            partial_trace_cavity(np.eye(4) / 4.0)
 
 
 class TestExpectation:
     def test_displaced_vacuum_quadrature(self):
         # <x> of D(alpha)|0> equals sqrt(2) Re(alpha) well inside the truncation
         alpha = 0.5
-        psi = displaced_vacuum(16, alpha)
+        psi = _displaced_vacuum(16, alpha)
         val = np.vdot(psi, quadrature_x(16) @ psi)
         assert val.real == pytest.approx(math.sqrt(2.0) * alpha, abs=1e-10)
         assert abs(val.imag) < 1e-12

@@ -10,12 +10,12 @@ from geomgate.core import (
     SIGMA_Z,
     HilbertSpace,
     QuantumState,
+    _reduced_qubit_rho,
     annihilation,
     embed,
     fock_state,
     ground_state,
     matexp,
-    partial_trace_cavity,
 )
 from geomgate.dynamics import (
     DecoherenceRates,
@@ -27,9 +27,7 @@ from geomgate.dynamics import (
     _rhs,
     evolve_lindblad,
     evolve_unitary,
-    fidelity,
     max_fidelity,
-    propagator_gate_distance,
 )
 from geomgate.model import (
     DriveParams,
@@ -43,7 +41,7 @@ from geomgate.model import (
     pair_coupling_rate,
     theta_of_schedule,
 )
-from test_model import _dense_h, _h2_literal
+from test_model import _dense_h, _h2_literal, _propagator_gate_distance
 
 RNG = np.random.default_rng(7)
 
@@ -184,8 +182,12 @@ class TestDissipatorAgainstDenseReference:
 
 
 def _dense_rk4_fidelities(drive, rates, space, target, cfg):
-    """Test-only oracle: the evolver's RK4 step, record times and re-symmetrisation,
-    with the literal dense right-hand side of the literal H2(t)."""
+    """Test-only oracle: the evolver's RK4 step and record times, with the literal
+    dense right-hand side of the literal H2(t).
+
+    Unlike the evolver, it re-symmetrises ρ after every step: its dense
+    products are Hermitian only to roundoff, and the asymmetry would compound.
+    """
 
     def rhs(t, rho):
         return _dense_lindblad_rhs(_h2_literal(drive, space, t), rho, rates, space)
@@ -194,7 +196,8 @@ def _dense_rk4_fidelities(drive, rates, space, target, cfg):
     dt = cfg.dt_effective
 
     def fid():
-        return float(np.vdot(target, partial_trace_cavity(rho, space) @ target).real)
+        rho_q = _reduced_qubit_rho(rho, space.n_qubits, space.cavity_dim)
+        return float(np.vdot(target, rho_q @ target).real)
 
     fids = [fid()]
     for step in range(1, cfg.n_steps + 1):
@@ -390,7 +393,57 @@ class TestLindbladOracles:
         )
         assert res.positivity_checks
         assert min(eig for _, eig in res.positivity_checks) >= -1e-6
-        assert res.max_hermiticity_drift < 1e-10
+
+
+def _final_rho_from_random_start(n_qubits, cavity_dim, driven, seed=5):
+    """final_rho of a quarter loop from a random complex |ψ⟩⟨ψ|, with κ, γ₁, γ₂ > 0.
+
+    ``driven`` adds H2(t) with unequal couplings and non-zero phases; without
+    it only the dissipator acts.
+    """
+    rng = np.random.default_rng(seed)
+    space = HilbertSpace(n_qubits, cavity_dim)
+    psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    if driven:
+        drive = DriveParams(
+            etas=rng.uniform(0.7, 1.3, n_qubits),
+            phis=rng.uniform(-math.pi, math.pi, n_qubits),
+            delta=4.0,
+        )
+        provider = hamiltonian_h2_provider(drive, space)
+    else:
+        provider = _zero_provider(space.qubit_dim)
+    tau = loop_time(4.0)
+    res = evolve_lindblad(
+        provider,
+        DecoherenceRates(kappa=0.3, gamma1=0.2, gamma2=0.1),
+        QuantumState.from_pure(space, psi / np.linalg.norm(psi)),
+        None,
+        IntegratorConfig(dt=tau / 200, t_end=tau / 4),
+    )
+    return res.final_rho
+
+
+class TestExactHermiticity:
+    """evolve_lindblad keeps ρ Hermitian bit for bit, with no per-step re-symmetrisation."""
+
+    @pytest.mark.parametrize("driven", [False, True], ids=["dissipator", "drive"])
+    @pytest.mark.parametrize("n_qubits,cavity_dim", [(2, 6), (3, 5), (1, 8)])
+    def test_final_rho_is_exactly_hermitian(self, n_qubits, cavity_dim, driven):
+        rho = _final_rho_from_random_start(n_qubits, cavity_dim, driven)
+        assert np.array_equal(rho, rho.conj().T)
+
+    def test_asymmetric_dissipator_weight_breaks_it(self, monkeypatch):
+        # the check must see a dissipator whose weights are not symmetric
+        class Planted(_Dissipator):
+            def __init__(self, rates, space):
+                super().__init__(rates, space)
+                main = self._chunks[0][1]
+                main[1] *= 1.0 + 1e-9  # the weight of ρ[0, 1], not of ρ[1, 0]
+
+        monkeypatch.setattr(dynamics, "_Dissipator", Planted)
+        rho = _final_rho_from_random_start(2, 6, driven=True)
+        assert not np.array_equal(rho, rho.conj().T)
 
 
 class TestEvolveUnitary:
@@ -491,28 +544,41 @@ class TestEvolveUnitary:
 
 
 class TestFidelity:
+    """F = ⟨target|ρ_q|target⟩ as evolve_lindblad records it, read at t = 0."""
+
+    @staticmethod
+    def _recorded(rho_q, target):
+        # ρ_q ⊗ |0⟩⟨0| on a two-level cavity, held still by a zero drive
+        space = HilbertSpace(int(math.log2(len(target))), 2)
+        vacuum = np.diag([1.0, 0.0]).astype(complex)
+        res = evolve_lindblad(
+            _zero_provider(space.qubit_dim),
+            DecoherenceRates(),
+            QuantumState(space, np.kron(rho_q, vacuum)),
+            target,
+            IntegratorConfig(dt=0.1, t_end=0.1),
+        )
+        return res.fidelities[0]
+
     def test_pure_state_against_itself(self):
         psi = np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0)
-        assert fidelity(np.outer(psi, psi.conj()), psi) == pytest.approx(1.0)
+        assert self._recorded(np.outer(psi, psi.conj()), psi) == pytest.approx(1.0)
 
     def test_bell_overlap_with_basis_projector(self):
-        from geomgate.model import bell_target
-
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
-        assert fidelity(rho, bell_target()) == pytest.approx(0.5, abs=1e-12)
+        assert self._recorded(rho, bell_target()) == pytest.approx(0.5, abs=1e-12)
 
     def test_maximally_mixed(self):
-        from geomgate.model import bell_target
-
-        assert fidelity(np.eye(4) / 4.0, bell_target()) == pytest.approx(0.25, abs=1e-12)
+        assert self._recorded(np.eye(4) / 4.0, bell_target()) == pytest.approx(0.25, abs=1e-12)
 
     def test_rejects_mismatch_and_non_hermitian(self):
-        with pytest.raises(ValueError, match="dimension"):
-            fidelity(np.eye(2) / 2.0, np.ones(3) / math.sqrt(3.0))
+        # a target off the register is refused by the evolver, a non-Hermitian ρ by the state
+        with pytest.raises(ValueError, match="target"):
+            self._recorded(np.eye(2) / 2.0, np.ones(3) / math.sqrt(3.0))
         skew = np.array([[0.5, 0.3], [-0.3, 0.5]], dtype=complex)
-        with pytest.raises(ValueError, match="imaginary"):
-            fidelity(skew, np.array([1.0, 1.0j]) / math.sqrt(2.0))
+        with pytest.raises(ValueError, match="Hermiticity"):
+            self._recorded(skew, np.array([1.0, 1.0j]) / math.sqrt(2.0))
 
 
 class TestMaxFidelity:
@@ -576,7 +642,7 @@ class TestGateEquivalence:
         )
         u = evolve_unitary(provider, np.eye(space.dim), cfg)
         gate = gate_unitary(theta_of_schedule(1.0, delta), n_qubits)
-        dist = propagator_gate_distance(u, gate, space, n_fock_keep=4)
+        dist = _propagator_gate_distance(u, gate, space, n_fock_keep=4)
         assert dist < 1e-4
 
     @pytest.mark.parametrize(
@@ -610,14 +676,7 @@ class TestGateEquivalence:
     def test_distance_is_phase_insensitive(self):
         space = HilbertSpace(1, 3)
         u = np.exp(0.7j) * np.eye(6, dtype=complex)
-        assert propagator_gate_distance(u, np.eye(2), space) < 1e-12
-
-    def test_rejects_bad_block(self):
-        space = HilbertSpace(1, 3)
-        with pytest.raises(ValueError):
-            propagator_gate_distance(np.eye(6), np.eye(2), space, n_fock_keep=9)
-        with pytest.raises(ValueError):
-            propagator_gate_distance(np.eye(5), np.eye(2), space)
+        assert _propagator_gate_distance(u, np.eye(2), space) < 1e-12
 
     def test_cavity_starts_and_ends_disentangled(self):
         # after a closed loop the cavity returns to vacuum for qubit-basis input

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomgate.core import CAVITY, HilbertSpace, annihilation, embed, matexp
-from geomgate.dynamics import _drive_product, propagator_gate_distance
+from geomgate.dynamics import _drive_product
 from geomgate.model import (
     DriveParams,
     PhysicalParams,
@@ -22,9 +22,7 @@ from geomgate.model import (
     hamiltonian_h2_provider,
     loop_time,
     pair_coupling_rate,
-    rate_to_mhz,
     theta_of_schedule,
-    time_to_us,
     trajectory,
 )
 
@@ -113,6 +111,24 @@ def _h1_literal(drive, space, t):
         term = z * (a @ cross)
         h += term + term.conj().T
     return h
+
+
+def _propagator_gate_distance(propagator, gate, space, n_fock_keep=None):
+    """Test oracle: phase-aligned max-entry distance between a joint propagator and gate ⊗ I_cavity.
+
+    Only the Fock levels ``0..n_fock_keep-1`` are compared: columns that start
+    near the truncation edge cannot execute the cavity loop and carry
+    truncation error unrelated to the gate.  The trace overlap fixes the
+    global phase before the distance is taken.
+    """
+    keep = space.cavity_dim if n_fock_keep is None else n_fock_keep
+    sub_idx = np.arange(space.dim).reshape(space.qubit_dim, space.cavity_dim)[:, :keep].ravel()
+    block = propagator[np.ix_(sub_idx, sub_idx)]
+    ref = np.kron(gate, np.eye(keep, dtype=complex))
+    overlap = complex(np.einsum("ij,ij->", ref.conj(), block))
+    if abs(overlap) > 0:
+        block = block * (overlap.conjugate() / abs(overlap))
+    return float(np.abs(block - ref).max())
 
 
 class TestDriveHamiltonians:
@@ -406,7 +422,7 @@ class TestGateUnitary:
         theta = 0.613
         u = gate_unitary(theta, 2)
         v = matexp(-1j * theta * np.kron(SX, SX))
-        dist = propagator_gate_distance(u, v, HilbertSpace(2, 1), n_fock_keep=1)
+        dist = _propagator_gate_distance(u, v, HilbertSpace(2, 1), n_fock_keep=1)
         assert dist < 1e-12
 
     def test_four_qubit_ghz_generation(self):
@@ -444,13 +460,3 @@ class TestTargets:
         assert abs(psi[-1]) ** 2 == pytest.approx(0.5, abs=1e-12)
         with pytest.raises(ValueError):
             ghz_target(1)
-
-
-class TestUnitHelpers:
-    def test_rate_conversion(self):
-        assert rate_to_mhz(1.0) == pytest.approx(10.0)
-        assert rate_to_mhz(0.001) == pytest.approx(0.01)
-
-    def test_time_conversion(self):
-        # one loop at delta = 4 eta: tau_1 = pi/2 /eta -> 25 ns at eta = 2pi x 10 MHz
-        assert time_to_us(math.pi / 2.0) == pytest.approx(0.025, rel=1e-12)
