@@ -6,6 +6,7 @@ Unit convention: every rate is expressed in units of a reference coupling η
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -142,25 +143,46 @@ def _check_space(drive: DriveParams, space: HilbertSpace) -> None:
         raise ValueError("drive Hamiltonians need a non-trivial cavity (cavity_dim >= 2)")
 
 
-def _drive_provider(terms: Sequence[tuple[np.ndarray, float]]) -> Callable[[float], np.ndarray]:
+def _drive_provider(
+    terms: Sequence[tuple[np.ndarray, float]], frame: tuple[float, np.ndarray]
+) -> Callable[[float], np.ndarray]:
     """Provider t ↦ P(t) = Σ_k e^{iω_k t}·S_k of the drive H(t) = P(t)⊗a + P(t)†⊗a†.
 
-    Each S_k is a 2^N×2^N register operator, so P(t) is one product of the
-    phases e^{iω_k t} with the stacked S_k, and no cavity operator or joint
-    matrix is built here: :mod:`~geomgate.dynamics` applies H(t) from P(t).
+    Each S_k is a 2^N×2^N register operator, so P(t) is a sum of the S_k
+    scaled by scalar phases e^{iω_k t}, and no cavity operator or joint matrix
+    is built here: :mod:`~geomgate.dynamics` applies H(t) from P(t).
+
+    ``frame`` = (δ, G) states the drive's rotating-frame symmetry: with G a
+    Hermitian register operator and R(s) = e^{−isG},
+
+        P(t+s) = e^{iδs}·R(s)·P(t)·R(s)†  for all t, s,
+
+    so H(t+s) = V(s)·H(t)·V(s)† with V(s) = R(s) ⊗ e^{−iδs·n̂}, because
+    e^{−iθn̂}·a·e^{iθn̂} = e^{iθ}·a holds exactly for the truncated a.
+    :func:`~geomgate.dynamics.evolve_unitary` relies on it and checks it.
+
     The callable carries ``max_frequency``, the largest |ω_k|, for
-    integrator-step validation, as an attribute, so it survives a caller that
-    re-wraps the function and copies its ``__dict__``.
+    integrator-step validation, and ``frame``, as attributes, so they survive
+    a caller that re-wraps the function and copies its ``__dict__``.
     """
-    q = terms[0][0].shape[0]
-    stack = np.array([np.asarray(s, dtype=complex).reshape(-1) for s, _ in terms])
-    iw = 1j * np.array([float(w) for _, w in terms])
+    (iw0, s0), *rest = [(1j * float(w), np.asarray(s, dtype=complex)) for s, w in terms]
 
     def p_of_t(t: float) -> np.ndarray:
-        return (np.exp(iw * t) @ stack).reshape(q, q)
+        # scalar phases from cmath: numpy's per-call overhead would dominate a q×q sum
+        p = cmath.exp(iw0 * t) * s0
+        for iw, s in rest:
+            p += cmath.exp(iw * t) * s
+        return p
 
     p_of_t.max_frequency = max(abs(float(w)) for _, w in terms)  # type: ignore[attr-defined]
+    p_of_t.frame = (float(frame[0]), np.asarray(frame[1], dtype=complex))  # type: ignore[attr-defined]
     return p_of_t
+
+
+def _sx_total(n: int) -> np.ndarray:
+    """Σ_j σ_j^x on a register of n qubits."""
+    register = HilbertSpace(n_qubits=n, cavity_dim=1)
+    return sum(embed(SIGMA_X, j, register) for j in range(1, n + 1))
 
 
 def _force_operator(drive: DriveParams, single: np.ndarray) -> np.ndarray:
@@ -181,10 +203,12 @@ def hamiltonian_h2_provider(
           = P(t)⊗a + h.c.,  P(t) = e^{iδt}·Σ_j η_j e^{iφ_j} σ_j^x,
 
     one term of :func:`_drive_provider`: the callable returns the 2^N×2^N
-    matrix P(t) and carries ``max_frequency`` = |δ|.
+    matrix P(t) and carries ``max_frequency`` = |δ| and ``frame`` = (δ, 0):
+    P(t+s) = e^{iδs}·P(t).
     """
     _check_space(drive, space)
-    return _drive_provider([(_force_operator(drive, SIGMA_X), drive.delta)])
+    s = _force_operator(drive, SIGMA_X)
+    return _drive_provider([(s, drive.delta)], (drive.delta, np.zeros_like(s)))
 
 
 def hamiltonian_h1_provider(
@@ -198,7 +222,9 @@ def hamiltonian_h1_provider(
     approximation (Ω ≫ δ, η) discards the cross terms.  They have the same
     P⊗a form as H2, with |+⟩⟨-| and -|-⟩⟨+| in place of σ^x, at δ + Ω and
     δ - Ω, so P(t) sums three terms of :func:`_drive_provider` and
-    ``max_frequency`` is |δ| + |Ω|.
+    ``max_frequency`` is |δ| + |Ω|.  Its ``frame`` is (δ, −(Ω/2)·Σ_j σ_j^x):
+    R(s) = e^{i(Ωs/2)Σ_j σ_j^x} leaves σ_j^x alone and gives |+⟩⟨-|_j the
+    phase e^{iΩs} and |-⟩⟨+|_j the phase e^{−iΩs}, which the cross terms need.
     """
     _check_space(drive, space)
     return _drive_provider(
@@ -206,7 +232,8 @@ def hamiltonian_h1_provider(
             (_force_operator(drive, SIGMA_X), drive.delta),
             (_force_operator(drive, PLUS_MINUS), drive.delta + drive.omega),
             (_force_operator(drive, -MINUS_PLUS), drive.delta - drive.omega),
-        ]
+        ],
+        (drive.delta, -0.5 * drive.omega * _sx_total(drive.n_qubits)),
     )
 
 
@@ -324,10 +351,7 @@ def gate_unitary(theta: float, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"gate needs n >= 1 qubits, got {n}")
-    space = HilbertSpace(n_qubits=n, cavity_dim=1)
-    sx_total = np.zeros((space.dim, space.dim), dtype=complex)
-    for j in range(1, n + 1):
-        sx_total += embed(SIGMA_X, j, space)
+    sx_total = _sx_total(n)
     return matexp(-0.5j * theta * (sx_total @ sx_total))
 
 

@@ -36,6 +36,7 @@ from geomgate.model import (
     effective_all_to_all,
     gate_unitary,
     ghz_target,
+    hamiltonian_h1_provider,
     hamiltonian_h2_provider,
     loop_time,
     pair_coupling_rate,
@@ -46,10 +47,40 @@ from test_model import _dense_h, _h2_literal, _propagator_gate_distance
 RNG = np.random.default_rng(7)
 
 
+def _with_frame(p_of_t, frame):
+    """``p_of_t`` re-wrapped to carry ``frame``, whatever frame it had."""
+
+    def provider(t):
+        return p_of_t(t)
+
+    provider.frame = frame
+    return provider
+
+
+def _constant_provider(p):
+    """P(t) = ``p`` for every t, with the zero frame (δ, G) = (0, 0) that this obeys."""
+    return _with_frame(lambda t: p, (0.0, np.zeros_like(p)))
+
+
 def _zero_provider(qubit_dim):
     """No drive: P(t) = 0 on a register of ``qubit_dim`` states."""
-    p = np.zeros((qubit_dim, qubit_dim), dtype=complex)
-    return lambda t: p
+    return _constant_provider(np.zeros((qubit_dim, qubit_dim), dtype=complex))
+
+
+def _stepped_propagation(provider, x, cfg):
+    """The literal midpoint product U_N⋯U_1 x, one dense exp(−i·dt·H((n−½)dt)) per step.
+
+    Each step writes P(t_mid) into the dense H = P⊗a + h.c. and applies the
+    exponential by the Taylor series of ``dynamics._expm_action``; it uses no
+    frame, so it judges the frame-reduced product of ``evolve_unitary``.
+    """
+    x = np.asarray(x, dtype=complex)
+    d = x.shape[0] // np.shape(provider(0.0))[0]
+    dt = cfg.dt_effective
+    for step in range(1, cfg.n_steps + 1):
+        h = _dense_h(provider((step - 0.5) * dt), d)
+        x = dynamics._expm_action(-1j * dt * h, dt * np.abs(h).sum(axis=0).max(), x)
+    return x
 
 
 def _random_density(dim):
@@ -463,8 +494,8 @@ class TestEvolveUnitary:
         had = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
         psi0 = np.array([1.0, 0.0], dtype=complex)  # had @ |+⟩
         cfg = IntegratorConfig(dt=0.01, t_end=t_end)
-        psi = evolve_unitary(lambda t: p, psi0, cfg)
-        u = evolve_unitary(lambda t: p, np.eye(2), cfg)
+        psi = evolve_unitary(_constant_provider(p), psi0, cfg)
+        u = evolve_unitary(_constant_provider(p), np.eye(2), cfg)
         expected_u = had @ np.diag(
             [np.exp(-0.5j * omega * t_end), np.exp(0.5j * omega * t_end)]
         ) @ had
@@ -522,7 +553,7 @@ class TestEvolveUnitary:
         step = matexp(-1j * cfg.dt_effective * h)
         for x in (psi / np.linalg.norm(psi), block):
             np.testing.assert_allclose(
-                evolve_unitary(lambda t: p, x, cfg), step @ x, rtol=0, atol=1e-13
+                evolve_unitary(_constant_provider(p), x, cfg), step @ x, rtol=0, atol=1e-13
             )
 
     def test_rejects_register_matrix_that_does_not_divide_dim(self):
@@ -532,15 +563,105 @@ class TestEvolveUnitary:
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("initial", [np.eye(4)[0], np.eye(4)[:, :2]], ids=["vector", "block"])
     def test_non_finite_hamiltonian_aborts_with_step(self, bad, initial):
-        p_bad = np.zeros((2, 2), dtype=complex)
+        # the run reads P at the first and the last midpoint only; this P is finite at
+        # the first (0.05) and holds one bad entry from t > 0.2, so at the last (0.45)
+        zero = np.zeros((2, 2), dtype=complex)
+        p_bad = zero.copy()
         p_bad[1, 0] = bad
-
-        def provider(t):
-            # finite at the first two midpoints (0.05, 0.15), then one bad entry
-            return p_bad if t > 0.2 else np.zeros((2, 2), dtype=complex)
-
-        with pytest.raises(IntegratorError, match="non-finite Hamiltonian at step 3/5"):
+        provider = _with_frame(lambda t: p_bad if t > 0.2 else zero, (0.0, zero))
+        with pytest.raises(IntegratorError, match="non-finite Hamiltonian at the last midpoint"):
             evolve_unitary(provider, initial, IntegratorConfig(dt=0.1, t_end=0.5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_hamiltonian_at_first_midpoint_aborts(self, bad):
+        # finite at t=0, where the shape is probed, and non-finite at the first midpoint
+        zero = np.zeros((2, 2), dtype=complex)
+        p_bad = zero.copy()
+        p_bad[0, 1] = bad
+        provider = _with_frame(lambda t: p_bad if t > 0.0 else zero, (0.0, zero))
+        with pytest.raises(IntegratorError, match="non-finite Hamiltonian at the first midpoint"):
+            evolve_unitary(provider, np.eye(4)[0], IntegratorConfig(dt=0.1, t_end=0.5))
+
+    def test_rejects_provider_without_frame(self):
+        p = np.zeros((2, 2), dtype=complex)
+        with pytest.raises(ValueError, match="frame"):
+            evolve_unitary(lambda t: p, np.eye(4)[0], IntegratorConfig(dt=0.1, t_end=0.5))
+
+    def test_rejects_provider_that_departs_from_its_frame(self):
+        # H1's P carrying H2's frame: the cross terms do not rotate as (δ, 0) says
+        space = HilbertSpace(2, 4)
+        drive = DriveParams((1.0, 0.8), (0.3, -0.5), 4.0, omega=25.0)
+        h1 = hamiltonian_h1_provider(drive, space)
+        wrong = _with_frame(h1, hamiltonian_h2_provider(drive, space).frame)
+        cfg = IntegratorConfig(dt=default_dt(drive), t_end=loop_time(4.0))
+        evolve_unitary(h1, ground_state(space), cfg)
+        with pytest.raises(ValueError, match="departs from the provider's frame"):
+            evolve_unitary(wrong, ground_state(space), cfg)
+
+
+def _seeded_drive(n_qubits, omega, seed):
+    rng = np.random.default_rng(seed)
+    return DriveParams(
+        rng.uniform(0.5, 1.5, n_qubits).tolist(),
+        rng.uniform(-math.pi, math.pi, n_qubits).tolist(),
+        4.0,
+        omega=omega,
+    )
+
+
+class TestFrameReducedPropagation:
+    """evolve_unitary's V(N·dt)·W^N against the literal midpoint product."""
+
+    @pytest.mark.parametrize("build", [hamiltonian_h1_provider, hamiltonian_h2_provider],
+                             ids=["h1", "h2"])
+    @pytest.mark.parametrize(
+        "n_qubits,cavity_dim,omega", [(1, 8, 25.0), (2, 5, 60.0), (3, 3, 25.0)]
+    )
+    def test_matches_stepped_midpoint_product(self, build, n_qubits, cavity_dim, omega):
+        # both sides take the same N midpoint steps, in a different order, and each
+        # accumulates roundoff like N·ε with a modest constant; 100·N·ε (1.4e-11 at
+        # N=625, 3.3e-11 at N=1500) leaves room for that and none for a wrong frame,
+        # which moves the state at O(dt·‖H‖) per step
+        drive = _seeded_drive(n_qubits, omega, seed=11 * n_qubits + cavity_dim)
+        space = HilbertSpace(n_qubits, cavity_dim)
+        provider = build(drive, space)
+        cfg = IntegratorConfig(
+            dt=default_dt(drive), t_end=0.5 * loop_time(drive.delta),
+            max_frequency=provider.max_frequency,
+        )
+        tol = 100 * cfg.n_steps * np.finfo(float).eps
+        rng = np.random.default_rng(cavity_dim)
+        psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        block, _ = np.linalg.qr(
+            rng.normal(size=(space.dim, 3)) + 1j * rng.normal(size=(space.dim, 3))
+        )
+        for x in (psi / np.linalg.norm(psi), block):
+            np.testing.assert_allclose(
+                evolve_unitary(provider, x, cfg),
+                _stepped_propagation(provider, x, cfg),
+                rtol=0,
+                atol=tol,
+            )
+
+    @pytest.mark.parametrize("build", [hamiltonian_h1_provider, hamiltonian_h2_provider],
+                             ids=["h1", "h2"])
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_model_providers_follow_their_frame(self, build, n_qubits):
+        # P(t+s) = e^{iδs}·R(s)·P(t)·R(s)† with R(s) = e^{−isG}, at random t and s;
+        # matexp and the phases are exact to roundoff on entries of order Σ_j η_j
+        rng = np.random.default_rng(n_qubits)
+        drive = _seeded_drive(n_qubits, rng.uniform(20.0, 80.0), seed=n_qubits)
+        provider = build(drive, HilbertSpace(n_qubits, 4))
+        delta, g = provider.frame
+        assert delta == drive.delta
+        for t, s in rng.uniform(-3.0, 3.0, size=(4, 2)):
+            r = matexp(-1j * s * g)
+            np.testing.assert_allclose(
+                provider(t + s),
+                np.exp(1j * delta * s) * (r @ provider(t) @ r.conj().T),
+                rtol=0,
+                atol=1e-12,
+            )
 
 
 class TestFidelity:

@@ -306,6 +306,48 @@ class TestRwaScanScenario:
         summary = run_rwa_scan(spec, omega_values=(2000.0,))
         assert summary["points"][0]["infidelity"] < 1e-5
 
+    def test_unitary_runs_read_the_provider_a_fixed_number_of_times(self, tmp_path, monkeypatch):
+        # a structural guard without timing: each evolve_unitary call reads P(t) three
+        # times (the shape at t=0, the first and the last midpoint) however many steps
+        # it plans, so two Ω-points make 2·2·3 = 12 reads, and no eigh is reached
+        reads, plans = [], []
+
+        def counting(build):
+            def counted(*args, **kwargs):
+                p_of_t = build(*args, **kwargs)
+
+                def read(t):
+                    reads.append(t)
+                    return p_of_t(t)
+
+                read.__dict__.update(p_of_t.__dict__)
+                return read
+
+            return counted
+
+        def planned(h_of_t, initial, cfg):
+            plans.append(cfg.n_steps)
+            return evolve(h_of_t, initial, cfg)
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh reached")
+
+        evolve = scenarios.evolve_unitary
+        monkeypatch.setattr(scenarios, "evolve_unitary", planned)
+        for name in ("hamiltonian_h1_provider", "hamiltonian_h2_provider"):
+            monkeypatch.setattr(scenarios, name, counting(getattr(scenarios, name)))
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        counts = []
+        for dt in (None, 1e-4):
+            reads.clear()
+            spec = ScenarioSpec(
+                kind="rwa-scan", cavity_dim=4, dt_override=dt, output_path=str(tmp_path / "r.csv")
+            )
+            run_rwa_scan(spec, omega_values=(50.0, 100.0))
+            counts.append(len(reads))
+        assert counts == [12, 12]
+        assert plans == [2500, 2500, 5000, 5000, 15708, 15708, 15708, 15708]
+
 
 RWA_SMALL = ["rwa-scan", "--n-qubits", "1", "--cavity-dim", "4"]
 FLOAT_FLAGS = (
