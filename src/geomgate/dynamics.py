@@ -17,8 +17,9 @@ Closed-system propagation takes the midpoint rule, steps exp(−i·dt·H(t_mid))
 but forms only the first step: every provider carries the rotating frame
 (δ, G) under which H(t+s) = V(s)·H(t)·V(s)†, with V(s) = e^{−isG} ⊗ e^{−iδs·n̂},
 so the product of all N steps is V(N·dt)·(V(dt)†·U_1)^N, taken by repeated
-squaring.  U_1 is a truncated Taylor series sized from dt·‖H‖₁ on the dense
-H(dt/2), with no eigendecomposition.
+squaring.  U_1 and R(dt) = e^{−i·dt·G} come from :func:`~geomgate.core.matexp`,
+the package's one exponential: a truncated Taylor series sized from dt·‖H‖₁
+on the dense H(dt/2), with no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-# matexp is not called here; perfbench/tracing.py patches it as dynamics.matexp
-from .core import HilbertSpace, QuantumState, _reduced_qubit_rho, matexp  # noqa: F401
+from .core import HilbertSpace, QuantumState, _reduced_qubit_rho, matexp
 
 __all__ = [
     "DecoherenceRates",
@@ -278,33 +278,6 @@ def _gram_drift(x: np.ndarray) -> float:
     return float(np.abs(cols.conj().T @ cols - np.eye(cols.shape[1])).max())
 
 
-def _expm_action(a: np.ndarray, theta: float, x: np.ndarray) -> np.ndarray:
-    """e^A·x for a state (dim,) or a block (dim, k), by a truncated Taylor series.
-
-    ``theta`` ≥ ‖A‖₁ (for A = −i·dt·H, dt times the largest column sum of H,
-    which bounds dt·‖H‖₂) alone fixes the work: s = ⌈θ⌉ substeps of θ/s ≤ 1,
-    each summed to the fewest m terms whose remainder bound
-    (θ/s)^(m+1)/(m+1)!·e^(θ/s) is at most 2⁻⁵³ (Al-Mohy & Higham, SIAM J. Sci.
-    Comput. 33, 488 (2011)).  There is no early stop on the data, so a state
-    and a block take the same terms.
-    """
-    s = max(1, math.ceil(theta))
-    r = theta / s
-    m, remainder = 0, r * math.exp(r)
-    while remainder > 2.0**-53:
-        m += 1
-        remainder *= r / (m + 1)
-    b = a / s if s > 1 else a
-    for _ in range(s):
-        term = x
-        x = x.copy()
-        for j in range(1, m + 1):
-            term = b @ term
-            term *= 1.0 / j
-            x += term
-    return x
-
-
 def evolve_lindblad(
     h_of_t: HamiltonianProvider,
     rates: DecoherenceRates,
@@ -487,12 +460,12 @@ def evolve_unitary(
 
     This is the same discretisation with the same dt, evaluated in another
     order, so it agrees with the stepped product to roundoff, which grows
-    like N·ε in both.  U_1 is formed once, by a Taylor series truncated where
-    its remainder bound falls below 2⁻⁵³ (see :func:`_expm_action`), on the
-    dim×dim identity; R(dt) is formed the same way on the register, and
-    W^N and R(dt)^N by repeated squaring.  The cost is one dim×dim Taylor
-    series and about 2·log₂N dim×dim products, whatever the array, and no
-    eigendecomposition is taken.
+    like N·ε in both.  U_1 is formed once by :func:`~geomgate.core.matexp`, a
+    Taylor series truncated where its remainder bound falls below 2⁻⁵³;
+    R(dt) is formed the same way on the register, and W^N and R(dt)^N by
+    repeated squaring.  The cost is one dim×dim Taylor series and about
+    2·log₂N dim×dim products, whatever the array, and no eigendecomposition
+    is taken.
 
     The provider is called three times: at t=0 for the shape, at the first
     midpoint for U_1 and at the last midpoint, where P must match the frame's
@@ -507,8 +480,8 @@ def evolve_unitary(
     ValueError
         If the columns of ``initial`` are not orthonormal (a state not
         normalized) to 1e-8, P(t) is not square with a size dividing dim, or
-        the provider carries no finite ``frame`` or departs from it at the
-        last midpoint.
+        the provider carries no finite ``frame`` with a Hermitian G, or
+        departs from it at the last midpoint.
     IntegratorError
         On a non-finite P(t) at the first or last midpoint, a non-finite
         result, or if max|X†X − I| drifts beyond 1e-8.
@@ -529,24 +502,10 @@ def evolve_unitary(
         raise ValueError(f"frame must be a finite (delta, G) with G of shape ({q}, {q})")
     n_steps = cfg.n_steps
     dt = cfg.dt_effective
-    # H = P⊗a + h.c. holds P[i, j]·√(n+1) at row i·d + n, column j·d + n + 1, its conjugate
-    # at the transposed place and zeros elsewhere, so only those entries are written
-    row0, col0, n = np.ix_(np.arange(q) * d, np.arange(q) * d, np.arange(d - 1))
-    h = np.zeros((dim, dim), dtype=complex)
-    flat = h.reshape(-1)
     p_first = h_of_t(0.5 * dt)
-    # an inf in P turns into NaN (inf·0j) and overflow on its way to θ; the θ check
-    # raises on it, so numpy's warnings would only precede it
-    with np.errstate(invalid="ignore", over="ignore"):
-        u = (p_first[:, :, None] * np.sqrt(n.ravel() + 1.0)).ravel()
-        flat[((row0 + n) * dim + col0 + n + 1).ravel()] = u
-        flat[((col0 + n + 1) * dim + row0 + n).ravel()] = u.conj()
-        theta = dt * float(np.abs(h).sum(axis=0).max())
-    if not math.isfinite(theta):
+    if not np.all(np.isfinite(p_first)):
         raise IntegratorError(f"non-finite Hamiltonian at the first midpoint t={0.5 * dt:.6g}")
-    r = _expm_action(
-        -1j * dt * g, dt * float(np.abs(g).sum(axis=0).max()), np.eye(q, dtype=complex)
-    )
+    r = matexp(-1j * dt * g)
 
     t_last = (n_steps - 0.5) * dt
     p_last = h_of_t(t_last)
@@ -564,11 +523,14 @@ def evolve_unitary(
 
     # V(dt)† on the Fock levels: e^{iδ·dt·n}
     back = np.exp(1j * delta * dt * np.arange(d))
+    # H(dt/2) = P⊗a + h.c., with a = 0 at d = 1
+    h = np.kron(p_first, np.diag(np.sqrt(np.arange(1.0, d)), k=1))
+    h += h.conj().T
     # W = V(dt)†·U_1, with −i·dt·H formed in place and U_1 not kept: each is dim², and
     # at the dimension cap the room matters to the squarings
     h *= -1j * dt
-    w = _frame_apply(r.conj().T, back, _expm_action(h, theta, np.eye(dim, dtype=complex)))
-    del h, flat
+    w = _frame_apply(r.conj().T, back, matexp(h))
+    del h
     x = _frame_apply(r_last @ r, back.conj() ** n_steps, np.linalg.matrix_power(w, n_steps) @ x)
     if not np.all(np.isfinite(x)):
         raise IntegratorError(f"non-finite state after {n_steps} steps")

@@ -78,19 +78,16 @@ class PhysicalParams:
             )
 
 
-def effective_coupling(p: PhysicalParams, approximate: bool = False) -> float:
-    """Effective drive-cavity coupling η of one qubit.
+def effective_coupling(p: PhysicalParams) -> float:
+    """Effective drive-cavity coupling η = (g·Ω_L/2)(1/(Δ+δ) + 1/Δ) of one qubit.
 
-    Exact branch: (g·Ω_L/2)(1/(Δ+δ) + 1/Δ).  Approximate branch: g·Ω_L/Δ,
-    the leading term for δ → 0.
+    At δ = 0 it reduces to g·Ω_L/Δ.
 
     Raises
     ------
     ValueError
         If a denominator vanishes or turns negative (Δ + δ ≤ 0).
     """
-    if approximate:
-        return p.g * p.omega_l / p.delta_big
     if p.delta_big + p.delta_small <= 0:
         raise ValueError(
             f"delta_big + delta_small must be positive, got {p.delta_big + p.delta_small}"
@@ -179,18 +176,12 @@ def _drive_provider(
     return p_of_t
 
 
-def _sx_total(n: int) -> np.ndarray:
-    """Σ_j σ_j^x on a register of n qubits."""
-    register = HilbertSpace(n_qubits=n, cavity_dim=1)
-    return sum(embed(SIGMA_X, j, register) for j in range(1, n + 1))
-
-
-def _force_operator(drive: DriveParams, single: np.ndarray) -> np.ndarray:
-    """Σ_j η_j e^{iφ_j}·(``single`` on qubit j), a 2^N×2^N register operator."""
-    register = HilbertSpace(n_qubits=drive.n_qubits, cavity_dim=1)
+def _qubit_sum(coeffs: Sequence[complex], single: np.ndarray) -> np.ndarray:
+    """Σ_j coeffs[j-1]·(``single`` on qubit j), a 2^N×2^N register operator, N = len(coeffs)."""
+    register = HilbertSpace(n_qubits=len(coeffs), cavity_dim=1)
     s = np.zeros((register.dim, register.dim), dtype=complex)
-    for j in range(1, drive.n_qubits + 1):
-        s += drive.etas[j - 1] * np.exp(1j * drive.phis[j - 1]) * embed(single, j, register)
+    for j, c in enumerate(coeffs, start=1):
+        s += c * embed(single, j, register)
     return s
 
 
@@ -207,7 +198,7 @@ def hamiltonian_h2_provider(
     P(t+s) = e^{iδs}·P(t).
     """
     _check_space(drive, space)
-    s = _force_operator(drive, SIGMA_X)
+    s = _qubit_sum([e * np.exp(1j * p) for e, p in zip(drive.etas, drive.phis)], SIGMA_X)
     return _drive_provider([(s, drive.delta)], (drive.delta, np.zeros_like(s)))
 
 
@@ -227,13 +218,14 @@ def hamiltonian_h1_provider(
     phase e^{iΩs} and |-⟩⟨+|_j the phase e^{−iΩs}, which the cross terms need.
     """
     _check_space(drive, space)
+    c = [e * np.exp(1j * p) for e, p in zip(drive.etas, drive.phis)]  # η_j e^{iφ_j}
     return _drive_provider(
         [
-            (_force_operator(drive, SIGMA_X), drive.delta),
-            (_force_operator(drive, PLUS_MINUS), drive.delta + drive.omega),
-            (_force_operator(drive, -MINUS_PLUS), drive.delta - drive.omega),
+            (_qubit_sum(c, SIGMA_X), drive.delta),
+            (_qubit_sum(c, PLUS_MINUS), drive.delta + drive.omega),
+            (_qubit_sum(c, -MINUS_PLUS), drive.delta - drive.omega),
         ],
-        (drive.delta, -0.5 * drive.omega * _sx_total(drive.n_qubits)),
+        (drive.delta, -0.5 * drive.omega * _qubit_sum([1.0] * drive.n_qubits, SIGMA_X)),
     )
 
 
@@ -351,7 +343,7 @@ def gate_unitary(theta: float, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"gate needs n >= 1 qubits, got {n}")
-    sx_total = _sx_total(n)
+    sx_total = _qubit_sum([1.0] * n, SIGMA_X)
     return matexp(-0.5j * theta * (sx_total @ sx_total))
 
 

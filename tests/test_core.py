@@ -37,6 +37,15 @@ def _random_density(dim: int) -> np.ndarray:
     return rho / np.trace(rho)
 
 
+def _eigh_expm(a: np.ndarray) -> np.ndarray:
+    """Test oracle: e^A of an anti-Hermitian A = −iH as V·e^{−iw}·V† from one eigh of H.
+
+    It shares no code with :func:`geomgate.core.matexp`, a Taylor series.
+    """
+    w, v = np.linalg.eigh(1j * np.asarray(a, dtype=complex))
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
 def _displaced_vacuum(d: int, alpha: complex) -> np.ndarray:
     """Test helper: D(α)|0⟩ = exp(αa† − α*a)|0⟩ on a d-level cavity, via matexp."""
     a = annihilation(d)
@@ -59,10 +68,21 @@ class TestMatexp:
         expected = math.cos(theta) * np.eye(4) - 1j * math.sin(theta) * xx
         np.testing.assert_allclose(matexp(-1j * theta * xx), expected, atol=1e-14)
 
+    @pytest.mark.parametrize("theta", [0.0, 1e-3, 0.5, 3.7, 40.0])
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    def test_matches_eigh_oracle(self, dim, theta):
+        # A = −iH with θ = ‖A‖₁ set exactly; θ > 1 takes ⌈θ⌉ substeps.  Tolerance
+        # 1e-13, as for one evolve_unitary step against the same oracle: the Taylor
+        # remainder is ≤ 2⁻⁵³ per substep, so only the two sides' roundoff is left
+        m = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
+        h = 0.5 * (m + m.conj().T)
+        a = -1j * theta / np.abs(h).sum(axis=0).max() * h
+        np.testing.assert_allclose(matexp(a), _eigh_expm(a), rtol=0, atol=1e-13)
+
     def test_rejects_generators_that_are_not_anti_hermitian(self):
-        # a non-normal matrix, a non-zero Hermitian one and a NaN: none is -iH
+        # a non-normal matrix, a non-zero Hermitian one, a NaN and an inf: none is -iH
         m = np.array([[0.1, 0.3 + 0.2j], [0.0, -0.1j]])
-        for a in (m, SIGMA_X, np.full((2, 2), np.nan)):
+        for a in (m, SIGMA_X, np.full((2, 2), np.nan), np.array([[0.0, np.inf], [-np.inf, 0.0]])):
             with pytest.raises(ValueError, match="anti-Hermitian"):
                 matexp(a)
 

@@ -42,6 +42,7 @@ from geomgate.model import (
     pair_coupling_rate,
     theta_of_schedule,
 )
+from test_core import _eigh_expm
 from test_model import _dense_h, _h2_literal, _propagator_gate_distance
 
 RNG = np.random.default_rng(7)
@@ -70,16 +71,16 @@ def _zero_provider(qubit_dim):
 def _stepped_propagation(provider, x, cfg):
     """The literal midpoint product U_N⋯U_1 x, one dense exp(−i·dt·H((n−½)dt)) per step.
 
-    Each step writes P(t_mid) into the dense H = P⊗a + h.c. and applies the
-    exponential by the Taylor series of ``dynamics._expm_action``; it uses no
-    frame, so it judges the frame-reduced product of ``evolve_unitary``.
+    Each step writes P(t_mid) into the dense H = P⊗a + h.c. and applies its
+    exponential by ``matexp``, the Taylor series of every unitary run; it uses
+    no frame, so it judges the frame-reduced product of ``evolve_unitary``.
     """
     x = np.asarray(x, dtype=complex)
     d = x.shape[0] // np.shape(provider(0.0))[0]
     dt = cfg.dt_effective
     for step in range(1, cfg.n_steps + 1):
         h = _dense_h(provider((step - 0.5) * dt), d)
-        x = dynamics._expm_action(-1j * dt * h, dt * np.abs(h).sum(axis=0).max(), x)
+        x = matexp(-1j * dt * h) @ x
     return x
 
 
@@ -533,7 +534,7 @@ class TestEvolveUnitary:
     )
     def test_detects_norm_drift_from_non_hermitian_generator(self, initial, monkeypatch):
         # a step that grows the array by 0.1%, as a non-Hermitian generator would
-        monkeypatch.setattr(dynamics, "_expm_action", lambda a, theta, x: 1.001 * x)
+        monkeypatch.setattr(dynamics, "matexp", lambda a: 1.001 * np.eye(len(a)))
         with pytest.raises(IntegratorError, match="drifted"):
             evolve_unitary(_zero_provider(1), initial, IntegratorConfig(dt=0.05, t_end=2.0))
 
@@ -550,7 +551,7 @@ class TestEvolveUnitary:
         assert cfg.n_steps == 1
         psi = RNG.normal(size=dim) + 1j * RNG.normal(size=dim)
         block, _ = np.linalg.qr(RNG.normal(size=(dim, 3)) + 1j * RNG.normal(size=(dim, 3)))
-        step = matexp(-1j * cfg.dt_effective * h)
+        step = _eigh_expm(-1j * cfg.dt_effective * h)
         for x in (psi / np.linalg.norm(psi), block):
             np.testing.assert_allclose(
                 evolve_unitary(_constant_provider(p), x, cfg), step @ x, rtol=0, atol=1e-13
@@ -648,14 +649,14 @@ class TestFrameReducedPropagation:
     @pytest.mark.parametrize("n_qubits", [1, 2, 3])
     def test_model_providers_follow_their_frame(self, build, n_qubits):
         # P(t+s) = e^{iδs}·R(s)·P(t)·R(s)† with R(s) = e^{−isG}, at random t and s;
-        # matexp and the phases are exact to roundoff on entries of order Σ_j η_j
+        # the oracle and the phases are exact to roundoff on entries of order Σ_j η_j
         rng = np.random.default_rng(n_qubits)
         drive = _seeded_drive(n_qubits, rng.uniform(20.0, 80.0), seed=n_qubits)
         provider = build(drive, HilbertSpace(n_qubits, 4))
         delta, g = provider.frame
         assert delta == drive.delta
         for t, s in rng.uniform(-3.0, 3.0, size=(4, 2)):
-            r = matexp(-1j * s * g)
+            r = _eigh_expm(-1j * s * g)
             np.testing.assert_allclose(
                 provider(t + s),
                 np.exp(1j * delta * s) * (r @ provider(t) @ r.conj().T),
@@ -789,7 +790,7 @@ class TestGateEquivalence:
         vacuum_columns = np.eye(space.dim)[:, ::d]  # qubit basis ⊗ |0⟩_cav
         block = evolve_unitary(provider, vacuum_columns, cfg)[::d]
         h_eff = effective_all_to_all(pair_coupling_rate(1.0, delta), phis, HilbertSpace(n, 1))
-        expected = matexp(-1j * tau * h_eff)
+        expected = _eigh_expm(-1j * tau * h_eff)
         overlap = np.vdot(expected, block)
         block = block * (overlap.conjugate() / abs(overlap))
         assert np.abs(block - expected).max() < 1e-5

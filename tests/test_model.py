@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomgate.core import CAVITY, HilbertSpace, annihilation, embed, matexp
+from geomgate.core import CAVITY, HilbertSpace, annihilation, embed
 from geomgate.dynamics import _drive_product
 from geomgate.model import (
     DriveParams,
@@ -25,6 +25,7 @@ from geomgate.model import (
     theta_of_schedule,
     trajectory,
 )
+from test_core import _eigh_expm
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -32,10 +33,11 @@ MINUS = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
 
 
 class TestEffectiveCoupling:
-    def test_approximate_branch_reference_point(self):
-        # G = 0.1, Omega_L = 0.1, Delta = 1.0 (x 2pi GHz) -> 0.01 x 2pi GHz = 2pi x 10 MHz
+    def test_reference_point_at_zero_detuning(self):
+        # G = 0.1, Omega_L = 0.1, Delta = 1.0 (x 2pi GHz) -> 0.01 x 2pi GHz = 2pi x 10 MHz:
+        # at delta = 0 the formula reduces to g * Omega_L / Delta
         p = PhysicalParams(g=0.1, omega_l=0.1, delta_big=1.0, delta_small=0.0)
-        assert effective_coupling(p, approximate=True) == pytest.approx(0.01, rel=1e-12)
+        assert effective_coupling(p) == pytest.approx(0.01, rel=1e-12)
 
     def test_exact_branch_hand_evaluated(self):
         p = PhysicalParams(g=0.1, omega_l=0.1, delta_big=1.0, delta_small=0.04)
@@ -46,7 +48,6 @@ class TestEffectiveCoupling:
     def test_no_drive_no_coupling(self):
         p = PhysicalParams(g=0.1, omega_l=0.0, delta_big=1.0)
         assert effective_coupling(p) == 0.0
-        assert effective_coupling(p, approximate=True) == 0.0
 
     def test_rejects_nonpositive_delta_big(self):
         with pytest.raises(ValueError):
@@ -421,7 +422,7 @@ class TestGateUnitary:
     def test_two_qubit_gate_equals_xx_rotation_up_to_phase(self):
         theta = 0.613
         u = gate_unitary(theta, 2)
-        v = matexp(-1j * theta * np.kron(SX, SX))
+        v = _eigh_expm(-1j * theta * np.kron(SX, SX))
         dist = _propagator_gate_distance(u, v, HilbertSpace(2, 1), n_fock_keep=1)
         assert dist < 1e-12
 

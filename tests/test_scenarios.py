@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomgate import cli, scenarios
+from geomgate import cli, dynamics, scenarios
 from geomgate.dynamics import IntegratorError
 from geomgate.scenarios import (
     DEFAULT_M_SWEEP,
@@ -308,9 +308,10 @@ class TestRwaScanScenario:
 
     def test_unitary_runs_read_the_provider_a_fixed_number_of_times(self, tmp_path, monkeypatch):
         # a structural guard without timing: each evolve_unitary call reads P(t) three
-        # times (the shape at t=0, the first and the last midpoint) however many steps
-        # it plans, so two Ω-points make 2·2·3 = 12 reads, and no eigh is reached
-        reads, plans = [], []
+        # times (the shape at t=0, the first and the last midpoint) and takes two
+        # matexp, U_1 and R(dt), however many steps it plans, so two Ω-points make
+        # 2·2·3 = 12 reads and 2·2·2 = 8 exponentials, and no eigh is reached
+        reads, plans, exponentials = [], [], []
 
         def counting(build):
             def counted(*args, **kwargs):
@@ -329,24 +330,46 @@ class TestRwaScanScenario:
             plans.append(cfg.n_steps)
             return evolve(h_of_t, initial, cfg)
 
+        def counted_matexp(a):
+            exponentials.append(a.shape)
+            return matexp(a)
+
         def no_eigh(*args, **kwargs):
             raise AssertionError("np.linalg.eigh reached")
 
-        evolve = scenarios.evolve_unitary
+        evolve, matexp = scenarios.evolve_unitary, dynamics.matexp
         monkeypatch.setattr(scenarios, "evolve_unitary", planned)
         for name in ("hamiltonian_h1_provider", "hamiltonian_h2_provider"):
             monkeypatch.setattr(scenarios, name, counting(getattr(scenarios, name)))
+        monkeypatch.setattr(dynamics, "matexp", counted_matexp)
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         counts = []
         for dt in (None, 1e-4):
             reads.clear()
+            exponentials.clear()
             spec = ScenarioSpec(
                 kind="rwa-scan", cavity_dim=4, dt_override=dt, output_path=str(tmp_path / "r.csv")
             )
             run_rwa_scan(spec, omega_values=(50.0, 100.0))
-            counts.append(len(reads))
-        assert counts == [12, 12]
+            counts.append((len(reads), len(exponentials)))
+        assert counts == [(12, 8), (12, 8)]
         assert plans == [2500, 2500, 5000, 5000, 15708, 15708, 15708, 15708]
+
+
+def test_runners_never_reach_eigh(tmp_path, monkeypatch):
+    # every exponential is matexp's Taylor series, targets included: an eigh in a run
+    # makes LAPACK's eigensolver pages resident, which raises the run's peak RSS
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh reached")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    out = str(tmp_path / "out.csv")
+    run_bell(ScenarioSpec(kind="bell", cavity_dim=4, output_path=out))
+    run_ghz_sweep(ScenarioSpec(kind="ghz-sweep", n_qubits=2, cavity_dim=4, output_path=out),
+                  m_values=(1.0,))
+    run_trajectory(ScenarioSpec(kind="trajectory", cavity_dim=4, output_path=out))
+    run_rwa_scan(ScenarioSpec(kind="rwa-scan", n_qubits=1, cavity_dim=4, output_path=out),
+                 omega_values=(50.0,))
 
 
 RWA_SMALL = ["rwa-scan", "--n-qubits", "1", "--cavity-dim", "4"]
