@@ -177,12 +177,28 @@ def _drive_provider(
 
 
 def _qubit_sum(coeffs: Sequence[complex], single: np.ndarray) -> np.ndarray:
-    """Σ_j coeffs[j-1]·(``single`` on qubit j), a 2^N×2^N register operator, N = len(coeffs)."""
-    register = HilbertSpace(n_qubits=len(coeffs), cavity_dim=1)
-    s = np.zeros((register.dim, register.dim), dtype=complex)
+    """Σ_j coeffs[j-1]·(``single`` on qubit j), a 2^N×2^N register operator, N = len(coeffs).
+
+    Built by bit index, with no Kronecker product.  With b = (s >> (N−j)) & 1 the
+    bit of qubit j in basis state s, the 2×2 operator A on qubit j has entry
+    A[b, b] at [s, s], A[b, 1−b] at [s, s ⊕ 2^(N−j)] and zeros elsewhere.  So,
+    qubit by qubit in the order 1..N, row s gains c_j·A[b, b] and c_j·A[b, 1−b]
+    at those two columns.  These are the nonzero additions of the literal sum
+    Σ_j c_j·embed(A, j), in its order and onto its zeros, and c_j·A is formed by
+    numpy as there, so the result equals it bit for bit, signed zeros included.
+    """
+    n = len(coeffs)
+    q = 2**n
+    entries = [0j] * (q * q)  # row-major, starting from +0 as the literal sum's zeros do
+    single = np.asarray(single, dtype=complex)
     for j, c in enumerate(coeffs, start=1):
-        s += c * embed(single, j, register)
-    return s
+        shift = n - j
+        term = (c * single).tolist()
+        for s in range(q):
+            b = (s >> shift) & 1
+            entries[s * q + s] += term[b][b]
+            entries[s * q + (s ^ (1 << shift))] += term[b][1 - b]
+    return np.array(entries, dtype=complex).reshape(q, q)
 
 
 def hamiltonian_h2_provider(

@@ -72,6 +72,10 @@ _FLOAT_FIELDS = (
 # two roundings of 2^-53 each, which beat the 1e-9 slack of the count from
 # n ≈ 4.5e6 on and would add a step to the plan.  Longer plans are refused.
 _MAX_STEPS = 4_000_000
+# Largest dt·Λ a Lindblad plan may take, with Λ the generator bound of _plan.  RK4's
+# stability region holds the left half-disk of radius 2.6156 about the origin, and
+# the Lindbladian's spectrum lies in the left half-plane within |z| ≤ Λ.
+_MAX_DT_NORM = 2.5
 # Largest joint dimension 2^N·d a run may allocate (N=6, d=32): far larger ones
 # would fail in a dense allocation with a MemoryError instead of a SpecError.
 _MAX_DIM = 2048
@@ -204,6 +208,7 @@ def _plan(
     records: int = 0,
     min_steps: int = 1,
     step_multiple: int = 1,
+    rates: tuple[float, float, float] | None = None,
 ) -> IntegratorConfig:
     """Step plan over [0, t_end] with steps no longer than the override or :func:`default_dt`.
 
@@ -212,6 +217,17 @@ def _plan(
     A dt or t_end that is not positive and finite (a tiny δ overflows t_end, a
     huge Ω underflows the default dt), a plan of more than ``_MAX_STEPS``
     steps and a plan the integrator rejects are spec errors.
+
+    ``rates`` = (κ, γ₁, γ₂) marks a plan for RK4 in
+    :func:`~geomgate.dynamics.evolve_lindblad`, with the largest rates any of
+    its runs takes.  Such a plan is also a spec error when dt·Λ > 2.5, where
+
+        Λ = 4·Σ_j|η_j|·√(d−1) + 2κ(d−1) + 2N(γ₁ + γ₂)
+
+    bounds the norm of the Lindbladian, and so its spectral radius: 2·‖H‖ for
+    the commutator, with ‖H‖ ≤ 2·Σ_j|η_j|·‖a‖ and ‖a‖ = √(d−1), and
+    4·(rate/2)·‖A‖² for each L(A).  Below 2.5 every dt·λ lies inside RK4's
+    stability region.
     """
     dt = spec.dt_override if spec.dt_override is not None else default_dt(drive)
     if not (0 < dt < math.inf and 0 < t_end < math.inf and t_end / dt < math.inf):
@@ -220,6 +236,21 @@ def _plan(
     n_steps += -n_steps % step_multiple  # round up to a multiple
     if n_steps > _MAX_STEPS:
         raise SpecError(f"step plan needs {n_steps} steps, more than the {_MAX_STEPS} allowed")
+    if rates is not None:
+        kappa, gamma1, gamma2 = rates
+        d = spec.cavity_dim
+        # Python floats: a huge rate overflows to inf and is refused, with no warning
+        bound = (
+            4.0 * sum(abs(e) for e in drive.etas) * math.sqrt(d - 1)
+            + 2.0 * kappa * (d - 1)
+            + 2.0 * drive.n_qubits * (gamma1 + gamma2)
+        )
+        if t_end / n_steps * bound > _MAX_DT_NORM:
+            raise SpecError(
+                f"dt={t_end / n_steps:.3e} times the generator bound {bound:.3e} exceeds "
+                f"{_MAX_DT_NORM}, outside RK4's stability region; lower dt, cavity_dim "
+                "or the rates"
+            )
     stride = max(1, n_steps // records) if records else 1
     try:
         return IntegratorConfig(
@@ -270,7 +301,14 @@ def run_bell(spec: ScenarioSpec) -> dict:
     drive = DriveParams(etas=(1.0, 1.0), phis=spec.phis, delta=spec.delta_over_eta)
     provider = hamiltonian_h2_provider(drive, space)
     t_end = loop_time(spec.delta_over_eta, spec.n_loops)
-    cfg = _plan(spec, drive, provider, t_end, records=400)
+    cfg = _plan(
+        spec,
+        drive,
+        provider,
+        t_end,
+        records=400,
+        rates=(spec.kappa_over_eta, spec.gamma1_over_eta, spec.gamma2_over_eta),
+    )
     rates = DecoherenceRates(
         kappa=spec.kappa_over_eta,
         gamma1=spec.gamma1_over_eta,
@@ -323,8 +361,18 @@ def run_ghz_sweep(spec: ScenarioSpec, m_values: Sequence[float] = DEFAULT_M_SWEE
     drive = DriveParams(etas=(1.0,) * spec.n_qubits, phis=spec.phis, delta=spec.delta_over_eta)
     provider = hamiltonian_h2_provider(drive, space)
     t_end = 2.0 * loop_time(spec.delta_over_eta, spec.n_loops)
+    # the plan serves every point, so it is bounded at the largest γ₁ = γ₂ = m·κ
+    gamma = ms[-1] * spec.kappa_over_eta
     # >= 500 steps and about 500 recorded samples across the search window
-    cfg = _plan(spec, drive, provider, t_end, records=500, min_steps=500)
+    cfg = _plan(
+        spec,
+        drive,
+        provider,
+        t_end,
+        records=500,
+        min_steps=500,
+        rates=(spec.kappa_over_eta, gamma, gamma),
+    )
     target = ghz_target(spec.n_qubits)
 
     points = [_ghz_point(m, spec, space, provider, target, cfg) for m in ms]
@@ -351,7 +399,9 @@ def run_trajectory(spec: ScenarioSpec) -> dict:
     t_end = loop_time(delta, spec.n_loops)
     # exactly 512 rows per loop: the step count is a multiple of the row count
     n_rows = 512 * spec.n_loops
-    cfg = _plan(spec, drive, provider, t_end, records=n_rows, step_multiple=n_rows)
+    cfg = _plan(
+        spec, drive, provider, t_end, records=n_rows, step_multiple=n_rows, rates=(0.0, 0.0, 0.0)
+    )
     # σ^x = -1 eigenstate ⊗ vacuum: the branch tracing the positive-x loop
     qubit_minus = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
     psi0 = np.kron(qubit_minus, fock_state(spec.cavity_dim, 0))

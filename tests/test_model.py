@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomgate.core import CAVITY, HilbertSpace, annihilation, embed
+from geomgate.core import CAVITY, SIGMA_MINUS, SIGMA_Z, HilbertSpace, annihilation, embed
 from geomgate.dynamics import _drive_product
 from geomgate.model import (
+    MINUS_PLUS,
+    PLUS_MINUS,
     DriveParams,
     PhysicalParams,
     Trajectory,
@@ -22,6 +24,7 @@ from geomgate.model import (
     hamiltonian_h2_provider,
     loop_time,
     pair_coupling_rate,
+    _qubit_sum,
     theta_of_schedule,
     trajectory,
 )
@@ -253,6 +256,43 @@ class TestDriveHamiltonians:
         shifted_phase = hamiltonian_h2_provider(_drive(2, phis=(c, c)), space)(t)
         shifted_time = hamiltonian_h2_provider(_drive(2), space)(t + c / delta)
         np.testing.assert_allclose(shifted_phase, shifted_time, atol=1e-12)
+
+
+def _qubit_sum_literal(coeffs, single):
+    """Test oracle: Σ_j c_j·(``single`` on qubit j) summed from Kronecker-embedded terms."""
+    register = HilbertSpace(n_qubits=len(coeffs), cavity_dim=1)
+    s = np.zeros((register.dim, register.dim), dtype=complex)
+    for j, c in enumerate(coeffs, start=1):
+        s += c * embed(single, j, register)
+    return s
+
+
+class TestQubitSum:
+    """The bit-index register sum equals the Kronecker-embedded sum bit for bit."""
+
+    _RNG = np.random.default_rng(11)
+    SINGLES = {
+        "sigma_x": SX,
+        "sigma_z": SIGMA_Z,
+        "sigma_minus": SIGMA_MINUS,
+        "plus_minus": PLUS_MINUS,
+        "-minus_plus": -MINUS_PLUS,
+        "random": _RNG.normal(size=(2, 2)) + 1j * _RNG.normal(size=(2, 2)),
+    }
+
+    @pytest.mark.parametrize("coeff_kind", ["unit", "complex"])
+    @pytest.mark.parametrize("single", sorted(SINGLES))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_embedded_sum_bitwise(self, n, single, coeff_kind):
+        rng = np.random.default_rng(n)
+        if coeff_kind == "unit":
+            coeffs = [1.0] * n
+        else:
+            coeffs = list(rng.uniform(0.5, 1.5, n) * np.exp(1j * rng.uniform(-math.pi, math.pi, n)))
+        got = _qubit_sum(coeffs, self.SINGLES[single])
+        want = _qubit_sum_literal(coeffs, self.SINGLES[single])
+        # uint64 views: equal values are not enough, the signs of zeros count too
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestFactoredProduct:

@@ -372,6 +372,102 @@ def test_runners_never_reach_eigh(tmp_path, monkeypatch):
                  omega_values=(50.0,))
 
 
+def test_runners_build_no_kronecker_product(tmp_path, monkeypatch):
+    # register sums, targets and H(dt/2) are assembled by index; the trajectory is left
+    # out because its initial state and cavity observables are Kronecker products
+    def no_kron(*args, **kwargs):
+        raise AssertionError("np.kron reached")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    out = str(tmp_path / "out.csv")
+    run_bell(ScenarioSpec(kind="bell", cavity_dim=4, output_path=out))
+    run_ghz_sweep(ScenarioSpec(kind="ghz-sweep", n_qubits=3, cavity_dim=4, output_path=out),
+                  m_values=(1.0,))
+    run_rwa_scan(ScenarioSpec(kind="rwa-scan", n_qubits=2, cavity_dim=4, output_path=out),
+                 omega_values=(50.0, 100.0))
+
+
+def _rk4_gain(z):
+    return 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+
+
+def _half_disk_edge(radius):
+    """The boundary of {|z| ≤ radius, Re z ≤ 0}: its arc and its stretch of the imaginary axis."""
+    arc = radius * np.exp(1j * np.linspace(math.pi / 2, 3 * math.pi / 2, 4001))
+    return np.concatenate((arc, 1j * np.linspace(-radius, radius, 4001)))
+
+
+class TestGeneratorBound:
+    """Lindblad plans are refused when dt times the Lindbladian's norm bound Λ exceeds 2.5."""
+
+    def test_bound_lies_inside_rk4_stability_region(self):
+        # |R| is largest on the boundary of the half-disk (maximum modulus principle)
+        assert np.abs(_rk4_gain(_half_disk_edge(scenarios._MAX_DT_NORM))).max() <= 1.0
+        # and the region does not hold a half-disk much larger: 2.5 is not a vacuous bound
+        assert np.abs(_rk4_gain(_half_disk_edge(2.7))).max() > 1.0
+
+    @pytest.mark.parametrize(
+        "spec,dt_lambda",
+        [
+            (ScenarioSpec(kind="bell"), 0.24),
+            (ScenarioSpec(kind="bell", delta_over_eta=0.5), 1.95),
+            (ScenarioSpec(kind="ghz-sweep", n_qubits=4, cavity_dim=24), 0.48),
+            (ScenarioSpec(kind="ghz-sweep", n_qubits=4, cavity_dim=32), 0.56),
+            (ScenarioSpec(kind="ghz-sweep", n_qubits=4, cavity_dim=8), 0.27),
+            (ScenarioSpec(kind="trajectory"), 0.048),
+        ],
+    )
+    def test_headline_and_benchmark_plans_pass(self, monkeypatch, spec, dt_lambda):
+        # the CLI's headline specs and the benchmark's sizes, with the largest default m
+        seen = []
+        plan = scenarios._plan
+
+        def recording(spec, drive, provider, t_end, **kwargs):
+            cfg = plan(spec, drive, provider, t_end, **kwargs)
+            (kappa, gamma1, gamma2), n, d = kwargs["rates"], drive.n_qubits, spec.cavity_dim
+            bound = 4 * n * math.sqrt(d - 1) + 2 * kappa * (d - 1) + 2 * n * (gamma1 + gamma2)
+            seen.append(cfg.dt_effective * bound)
+            raise SpecError("planned")  # stop before integrating
+
+        monkeypatch.setattr(scenarios, "_plan", recording)
+        runner = {"bell": run_bell, "ghz-sweep": run_ghz_sweep, "trajectory": run_trajectory}
+        with pytest.raises(SpecError, match="planned"):
+            runner[spec.kind](replace(spec, output_path=""))
+        assert seen == [pytest.approx(dt_lambda, abs=0.005)]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # dt·Λ = 3.14 and 4.91: the first ran to a wrong fidelity, the second diverged
+            ["bell", "--delta-over-eta", "0.5", "--cavity-dim", "40"],
+            ["bell", "--delta-over-eta", "0.5", "--cavity-dim", "96"],
+            # Λ ≈ 3e301 overflowed the step to NaN with numpy warnings and exit 3
+            ["bell", "--kappa-over-eta", "1e300"],
+            # γ = m·κ overflows to inf, which DecoherenceRates rejected with a traceback
+            ["ghz-sweep", "--n-qubits", "2", "--cavity-dim", "4", "--kappa-over-eta", "1e10",
+             "--m-values", "1e300"],
+            # 512 steps per loop of 2π/δ: dt·Λ = 3.8 at δ = 0.05, d = 16
+            ["trajectory", "--delta-over-eta", "0.05"],
+        ],
+    )
+    def test_unstable_plan_exits_two_without_warnings(self, tmp_path, args):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*args, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_refusal_sits_at_the_bound(self, tmp_path):
+        # bell with no rates at d=17: Λ = 8·√16 = 32, so dt·Λ = 2.5 at dt = 0.078125
+        base = ScenarioSpec(
+            kind="bell", delta_over_eta=0.5, cavity_dim=17, kappa_over_eta=0.0,
+            gamma1_over_eta=0.0, gamma2_over_eta=0.0, output_path=str(tmp_path / "b.csv"),
+        )
+        with pytest.raises(SpecError, match="generator bound"):
+            run_bell(replace(base, dt_override=0.08))  # 158 steps: dt·Λ = 2.545
+        run_bell(replace(base, dt_override=0.078))  # 162 steps: dt·Λ = 2.482
+
+
 RWA_SMALL = ["rwa-scan", "--n-qubits", "1", "--cavity-dim", "4"]
 FLOAT_FLAGS = (
     "--delta-over-eta",
