@@ -101,55 +101,36 @@ def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
     )
 
 
-# Each command returns (summary, stdout lines).  The runners are looked up by
-# name at call time, so replacing them on this module takes effect.
-
-
-def _bell(spec: ScenarioSpec, args: argparse.Namespace) -> tuple[dict, list[str]]:
-    summary = run_bell(spec)
-    return summary, [
-        f"bell: F(tau_{spec.n_loops}) = {summary['final_fidelity']:.6f} "
-        f"at eta*t/pi = {summary['t_end'] / math.pi:.6f}"
-    ]
-
-
-def _ghz_sweep(spec: ScenarioSpec, args: argparse.Namespace) -> tuple[dict, list[str]]:
-    summary = run_ghz_sweep(spec, args.m_values)
-    return summary, [
-        f"ghz-sweep: m={point['m']:g} f_max={point['f_max']:.6f} at t={point['t_at_max']:.6f}"
-        for point in summary["points"]
-    ]
-
-
-def _trajectory(spec: ScenarioSpec, args: argparse.Namespace) -> tuple[dict, list[str]]:
-    summary = run_trajectory(spec)
-    return summary, [
-        f"trajectory: max|sim-analytic| = {summary['max_sim_deviation']:.3e}, "
-        f"simulated closure = {summary['simulated_closure']:.3e}"
-    ]
-
-
-def _rwa_scan(spec: ScenarioSpec, args: argparse.Namespace) -> tuple[dict, list[str]]:
-    summary = run_rwa_scan(spec, args.omega_values)
-    lines = [
-        f"rwa-scan: omega={point['omega']:g} infidelity={point['infidelity']:.6e}"
-        for point in summary["points"]
-    ]
-    return summary, [*lines, f"rwa-scan: log-log slope = {summary['slope']:.4f}"]
-
-
-_COMMANDS = {
-    "bell": _bell,
-    "ghz-sweep": _ghz_sweep,
-    "trajectory": _trajectory,
-    "rwa-scan": _rwa_scan,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    spec = _spec_from_args(args)
+    # the runners are module globals looked up at call time, so replacing them here takes effect
     try:
-        summary, lines = _COMMANDS[args.kind](_spec_from_args(args), args)
+        if args.kind == "bell":
+            summary = run_bell(spec)
+            lines = [
+                f"bell: F(tau_{spec.n_loops}) = {summary['final_fidelity']:.6f} "
+                f"at eta*t/pi = {summary['t_end'] / math.pi:.6f}"
+            ]
+        elif args.kind == "ghz-sweep":
+            summary = run_ghz_sweep(spec, args.m_values)
+            lines = [
+                f"ghz-sweep: m={point['m']:g} f_max={point['f_max']:.6f} at t={point['t_at_max']:.6f}"
+                for point in summary["points"]
+            ]
+        elif args.kind == "trajectory":
+            summary = run_trajectory(spec)
+            lines = [
+                f"trajectory: max|sim-analytic| = {summary['max_sim_deviation']:.3e}, "
+                f"simulated closure = {summary['simulated_closure']:.3e}"
+            ]
+        else:
+            summary = run_rwa_scan(spec, args.omega_values)
+            lines = [
+                f"rwa-scan: omega={point['omega']:g} infidelity={point['infidelity']:.6e}"
+                for point in summary["points"]
+            ]
+            lines.append(f"rwa-scan: log-log slope = {summary['slope']:.4f}")
     except SpecError as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,6 @@ import numpy as np
 from .core import (
     SIGMA_X,
     HilbertSpace,
-    embed,
     matexp,
 )
 
@@ -248,8 +247,12 @@ def hamiltonian_h1_provider(
 def default_dt(drive: DriveParams) -> float:
     """Step size resolving the fastest drive frequency with 200 steps per cycle.
 
-    Returns 2π/(200·max(|δ|, |Ω|)), twice the sampling that
-    :class:`~geomgate.dynamics.IntegratorConfig` requires.
+    Returns 2π/(200·max(|δ|, |Ω|)).  :class:`~geomgate.dynamics.IntegratorConfig`
+    requires dt ≤ 2π/(100·f), with f the provider's ``max_frequency``.  For H2,
+    f = |δ|, so this is twice the sampling required.  For H1, f = |δ| + |Ω|, so
+    the margin is only 2·max(|δ|, |Ω|)/(|δ| + |Ω|): 1.72 at δ=4, Ω=25, and
+    exactly 1 at |Ω| = |δ|, where only the config's 1e-12 relative slack
+    admits the step.
     """
     fastest = max(abs(drive.delta), abs(drive.omega))
     if fastest <= 0:
@@ -342,12 +345,9 @@ def effective_all_to_all(
     n = space.n_qubits
     if n < 2 or len(phis) != n:
         raise ValueError(f"need phis for >= 2 qubits, got {len(phis)} phases for N={n}")
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    for j in range(1, n + 1):
-        xj = embed(SIGMA_X, j, space)
-        for k in range(j + 1, n + 1):
-            h += lambda_ * math.cos(phis[j - 1] - phis[k - 1]) * (xj @ embed(SIGMA_X, k, space))
-    return h
+    # A·A† = N·I + Σ_{j≠k} e^{i(φ_j−φ_k)} σ_j^x σ_k^x, and the j<k and k<j terms pair to 2·cos
+    a = _qubit_sum([cmath.exp(1j * p) for p in phis], SIGMA_X)
+    return 0.5 * lambda_ * (a @ a.conj().T - n * np.eye(space.dim))
 
 
 def gate_unitary(theta: float, n: int) -> np.ndarray:
@@ -370,9 +370,7 @@ def bell_target() -> np.ndarray:
     package's own gate keeps every fidelity check free of sign-convention
     choices.
     """
-    psi0 = np.zeros(4, dtype=complex)
-    psi0[0] = 1.0
-    return gate_unitary(math.pi / 4.0, 2) @ psi0
+    return ghz_target(2)
 
 
 def ghz_target(n: int) -> np.ndarray:

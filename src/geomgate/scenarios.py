@@ -140,6 +140,8 @@ class ScenarioSpec:
             )
         if self.dt_override is not None and self.dt_override <= 0:
             raise SpecError(f"dt_override must be positive, got {self.dt_override}")
+        if self.eta_mhz is not None and self.eta_mhz <= 0:
+            raise SpecError(f"eta_mhz must be positive, got {self.eta_mhz}")
         phis = self.phis if self.phis is not None else (0.0,) * n_qubits
         phis = tuple(float(p) for p in phis)
         if not all(math.isfinite(p) for p in phis):
@@ -150,28 +152,6 @@ class ScenarioSpec:
             raise SpecError("the trajectory scenario compares against the zero-phase closed form; phis must be 0")
         out = self.output_path or f"{self.kind}.csv"
         return replace(self, n_qubits=n_qubits, phis=phis, output_path=out)
-
-
-def _metadata(
-    spec: ScenarioSpec, cfg: IntegratorConfig | None, **extra: object
-) -> dict[str, object]:
-    meta: dict[str, object] = {
-        "kind": spec.kind,
-        "n_qubits": spec.n_qubits,
-        "delta_over_eta": spec.delta_over_eta,
-        "n_loops": spec.n_loops,
-        "phis": list(spec.phis or ()),
-        "kappa_over_eta": spec.kappa_over_eta,
-        "gamma1_over_eta": spec.gamma1_over_eta,
-        "gamma2_over_eta": spec.gamma2_over_eta,
-        "cavity_dim": spec.cavity_dim,
-    }
-    if spec.eta_mhz is not None:
-        meta["eta_mhz"] = spec.eta_mhz
-    meta.update(extra)
-    if cfg is not None:
-        meta.update(dt=cfg.dt_effective, n_steps=cfg.n_steps, record_stride=cfg.record_stride)
-    return meta
 
 
 def _checked(spec: ScenarioSpec, kind: str) -> ScenarioSpec:
@@ -263,12 +243,6 @@ def _plan(
         raise SpecError(f"step plan rejected: {exc}") from exc
 
 
-def _fmt(value: object) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(
     spec: ScenarioSpec,
     cfg: IntegratorConfig | None,
@@ -276,12 +250,28 @@ def _write_csv(
     rows: Iterable[Sequence[float]],
     **extra: object,
 ) -> str:
+    meta: dict[str, object] = {
+        "kind": spec.kind,
+        "n_qubits": spec.n_qubits,
+        "delta_over_eta": spec.delta_over_eta,
+        "n_loops": spec.n_loops,
+        "phis": list(spec.phis or ()),
+        "kappa_over_eta": spec.kappa_over_eta,
+        "gamma1_over_eta": spec.gamma1_over_eta,
+        "gamma2_over_eta": spec.gamma2_over_eta,
+        "cavity_dim": spec.cavity_dim,
+    }
+    if spec.eta_mhz is not None:
+        meta["eta_mhz"] = spec.eta_mhz
+    meta.update(extra)
+    if cfg is not None:
+        meta.update(dt=cfg.dt_effective, n_steps=cfg.n_steps, record_stride=cfg.record_stride)
     out = Path(spec.output_path)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", encoding="utf-8", newline="") as fh:
-        for key, value in _metadata(spec, cfg, **extra).items():
-            fh.write(f"# {key}={_fmt(value)}\n")
+        for key, value in meta.items():
+            # every value is a Python scalar or list, and str of a Python float is its repr
+            fh.write(f"# {key}={value}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             # repr of a Python float is the shortest round-trip form: exact re-parse
@@ -328,25 +318,6 @@ def run_bell(spec: ScenarioSpec) -> dict:
     }
 
 
-def _ghz_point(
-    m: float,
-    spec: ScenarioSpec,
-    space: HilbertSpace,
-    provider,
-    target: np.ndarray,
-    cfg: IntegratorConfig,
-) -> dict:
-    rates = DecoherenceRates(
-        kappa=spec.kappa_over_eta,
-        gamma1=m * spec.kappa_over_eta,
-        gamma2=m * spec.kappa_over_eta,
-    )
-    initial = QuantumState.from_pure(space, ground_state(space))
-    result = evolve_lindblad(provider, rates, initial, target, cfg)
-    t_at_max, f_max = max_fidelity(result)
-    return {"m": m, "f_max": f_max, "t_at_max": t_at_max, "result": result}
-
-
 def run_ghz_sweep(spec: ScenarioSpec, m_values: Sequence[float] = DEFAULT_M_SWEEP) -> dict:
     """Sweep the qubit-to-cavity decay ratio m = γ/κ and record the peak GHZ fidelity.
 
@@ -374,8 +345,15 @@ def run_ghz_sweep(spec: ScenarioSpec, m_values: Sequence[float] = DEFAULT_M_SWEE
         rates=(spec.kappa_over_eta, gamma, gamma),
     )
     target = ghz_target(spec.n_qubits)
-
-    points = [_ghz_point(m, spec, space, provider, target, cfg) for m in ms]
+    # evolve_lindblad copies initial.rho, so one state serves every point
+    initial = QuantumState.from_pure(space, ground_state(space))
+    points = []
+    for m in ms:
+        gamma_m = m * spec.kappa_over_eta
+        rates = DecoherenceRates(kappa=spec.kappa_over_eta, gamma1=gamma_m, gamma2=gamma_m)
+        result = evolve_lindblad(provider, rates, initial, target, cfg)
+        t_at_max, f_max = max_fidelity(result)
+        points.append({"m": m, "f_max": f_max, "t_at_max": t_at_max, "result": result})
 
     rows = [(p["m"], p["f_max"], p["t_at_max"]) for p in points]
     path = _write_csv(spec, cfg, ("m", "f_max", "t_at_max"), rows, m_values=ms, t_window=t_end)
@@ -479,14 +457,14 @@ def run_rwa_scan(spec: ScenarioSpec, omega_values: Sequence[float] = DEFAULT_OME
     log_w = np.log([p["omega"] for p in points])
     log_i = np.log([p["infidelity"] for p in points])
     n = len(points)
-    exponents = np.full(n, math.nan)
-    for i in range(n):
-        if n < 2:
-            break
-        lo = max(0, i - 1)
-        hi = min(n - 1, i + 1)
-        exponents[i] = (log_i[hi] - log_i[lo]) / (log_w[hi] - log_w[lo])
-    slope = float(np.polyfit(log_w, log_i, 1)[0]) if n >= 2 else math.nan
+    if n >= 2:
+        # central differences inside, one-sided at the two ends
+        lo = np.maximum(np.arange(n) - 1, 0)
+        hi = np.minimum(np.arange(n) + 1, n - 1)
+        exponents = (log_i[hi] - log_i[lo]) / (log_w[hi] - log_w[lo])
+        slope = float(np.polyfit(log_w, log_i, 1)[0])
+    else:
+        exponents, slope = np.full(n, math.nan), math.nan
 
     rows = [
         (p["omega"], p["infidelity"], exponents[i]) for i, p in enumerate(points)

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomgate.core import CAVITY, SIGMA_MINUS, SIGMA_Z, HilbertSpace, annihilation, embed
-from geomgate.dynamics import _drive_product
+from geomgate.dynamics import IntegratorConfig, _drive_product
 from geomgate.model import (
     MINUS_PLUS,
     PLUS_MINUS,
@@ -219,6 +220,17 @@ class TestDriveHamiltonians:
         )
         with pytest.raises(ValueError):
             default_dt(_drive(1, delta=0.0))
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 6.25, 50.0])
+    def test_default_dt_admits_h1_plan(self, ratio):
+        # the H1 margin is 2·max(|δ|,|Ω|)/(|δ|+|Ω|), exactly 1 at Ω = δ
+        drive = _drive(2, delta=4.0, omega=4.0 * ratio)
+        h1 = hamiltonian_h1_provider(drive, HilbertSpace(2, 4))
+        cfg = IntegratorConfig(
+            dt=default_dt(drive), t_end=loop_time(4.0), max_frequency=h1.max_frequency
+        )
+        limit = 2.0 * math.pi / (100.0 * h1.max_frequency)
+        assert limit / cfg.dt == pytest.approx(2.0 * max(1.0, ratio) / (1.0 + ratio), rel=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(t=st.floats(0.0, 10.0), phi=st.floats(-math.pi, math.pi), omega=st.floats(5.0, 60.0))
@@ -434,6 +446,22 @@ class TestEffectiveModels:
             expected,
             atol=1e-12,
         )
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_all_to_all_matches_pairwise_kron_sum(self, n):
+        rng = np.random.default_rng(100 + n)
+        lam = float(rng.uniform(0.1, 3.0))
+        phis = rng.uniform(-math.pi, math.pi, n).tolist()
+        x = [
+            functools.reduce(np.kron, [SX if i == j else np.eye(2) for i in range(n)])
+            for j in range(n)
+        ]
+        expected = lam * sum(
+            math.cos(phis[j] - phis[k]) * (x[j] @ x[k]) for j in range(n) for k in range(j + 1, n)
+        )
+        h = effective_all_to_all(lam, phis, HilbertSpace(n, 1))
+        np.testing.assert_allclose(h, expected, rtol=0, atol=1e-14 * lam)
+        np.testing.assert_allclose(h, h.conj().T, rtol=0, atol=1e-14 * lam)
 
     def test_all_to_all_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

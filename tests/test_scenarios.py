@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import re
 import tempfile
 import warnings
 from dataclasses import replace
@@ -507,12 +508,43 @@ class TestCli:
             # joint dimensions 4·10⁶ and 2⁴⁰·24, far beyond what a dense ρ can hold
             ["bell", "--cavity-dim", "1000000"],
             ["ghz-sweep", "--n-qubits", "40"],
+            # a physical eta/2pi is a positive frequency
+            ["bell", "--cavity-dim", "6", "--eta-mhz", "-3"],
+            ["bell", "--cavity-dim", "6", "--eta-mhz", "0"],
         ],
     )
     def test_invalid_spec_exits_two(self, tmp_path, args):
         out = tmp_path / "x.csv"
         assert cli.main([*args, "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (["bell", "--cavity-dim", "6"], ["bell: F(tau_1) = 0.996680 at eta*t/pi = 0.500000"]),
+            (
+                ["ghz-sweep", "--n-qubits", "2", "--cavity-dim", "4", "--m-values", "1"],
+                ["ghz-sweep: m=1 f_max=0.992105 at t=1.507964"],
+            ),
+            (
+                [*RWA_SMALL, "--omega-values", "50"],
+                ["rwa-scan: omega=50 infidelity=3.173613e-03", "rwa-scan: log-log slope = nan"],
+            ),
+        ],
+    )
+    def test_stdout_lines(self, tmp_path, capsys, args, expected):
+        out = tmp_path / "x.csv"
+        assert cli.main([*args, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [*expected, f"wrote {out}"]
+
+    def test_trajectory_stdout_lines(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli.main(["trajectory", "--cavity-dim", "8", "--out", str(out)]) == 0
+        line, wrote = capsys.readouterr().out.splitlines()
+        # the closure moves with the BLAS kernel, so only its format is pinned
+        pattern = r"trajectory: max\|sim-analytic\| = 2\.842e-08, simulated closure = \d\.\d{3}e-\d\d"
+        assert re.fullmatch(pattern, line), line
+        assert wrote == f"wrote {out}"
 
     @pytest.mark.parametrize(
         "args",
