@@ -10,8 +10,9 @@ deterministic — same spec, same bytes.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -57,17 +58,16 @@ __all__ = [
     "run_rwa_scan",
 ]
 
-SCENARIO_KINDS = ("bell", "ghz-sweep", "trajectory", "rwa-scan")
+# (n_qubits, cavity_dim) that each kind resolves to when the spec leaves them unset
+_KIND_DEFAULTS = {
+    "bell": (2, 16),
+    "ghz-sweep": (4, 24),
+    "trajectory": (1, 16),
+    "rwa-scan": (2, 16),
+}
+SCENARIO_KINDS = tuple(_KIND_DEFAULTS)
 DEFAULT_M_SWEEP = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
 DEFAULT_OMEGA_SCAN = (25.0, 50.0, 100.0, 200.0)
-_FLOAT_FIELDS = (
-    "delta_over_eta",
-    "kappa_over_eta",
-    "gamma1_over_eta",
-    "gamma2_over_eta",
-    "dt_override",
-    "eta_mhz",
-)
 # IntegratorConfig recounts the steps from dt = t_end/n; t_end/(t_end/n) carries
 # two roundings of 2^-53 each, which beat the 1e-9 slack of the count from
 # n ≈ 4.5e6 on and would add a step to the plan.  Longer plans are refused.
@@ -87,23 +87,30 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Resolved parameter set for one scenario run.  All rates in units of η."""
+    """Parameter set for one scenario run.  All rates in units of η.
+
+    The field defaults are the CLI's flag defaults.  ``n_qubits`` and
+    ``cavity_dim`` left unset resolve per kind in :meth:`validated`.
+    """
 
     kind: str
-    n_qubits: int = 2
+    n_qubits: int | None = None
     delta_over_eta: float = 4.0
     n_loops: int = 1
     phis: tuple[float, ...] | None = None
     kappa_over_eta: float = 1e-3
     gamma1_over_eta: float = 1e-3
     gamma2_over_eta: float = 1e-3
-    cavity_dim: int = 16
+    cavity_dim: int | None = None
     dt_override: float | None = None
     output_path: str = ""
     eta_mhz: float | None = None
 
     def validated(self) -> "ScenarioSpec":
-        """Check constraints and return a fully resolved copy (phis, output path).
+        """Check constraints and return a fully resolved copy.
+
+        The copy fills in the kind's (n_qubits, cavity_dim), the zero phases
+        and the output path.  A trajectory always runs on one qubit.
 
         Raises
         ------
@@ -113,30 +120,36 @@ class ScenarioSpec:
         if self.kind not in SCENARIO_KINDS:
             raise SpecError(f"unknown scenario kind {self.kind!r}; choose from {SCENARIO_KINDS}")
         # NaN slips through every ordering check below, and inf reaches integer step counts
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise SpecError(f"{name} must be finite, got {value}")
-        n_qubits = 1 if self.kind == "trajectory" else self.n_qubits
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise SpecError(f"{field.name} must be finite, got {value}")
+        default_n, default_d = _KIND_DEFAULTS[self.kind]
+        n_qubits = default_n if self.n_qubits is None else self.n_qubits
+        cavity_dim = default_d if self.cavity_dim is None else self.cavity_dim
+        if self.kind == "trajectory":
+            n_qubits = 1  # its closed form traces one qubit's loop
         if n_qubits < 1:
-            raise SpecError(f"n_qubits must be >= 1, got {self.n_qubits}")
+            raise SpecError(f"n_qubits must be >= 1, got {n_qubits}")
         if self.kind == "bell" and n_qubits != 2:
-            raise SpecError(f"bell runs on exactly 2 qubits, got {self.n_qubits}")
+            raise SpecError(f"bell runs on exactly 2 qubits, got {n_qubits}")
         if self.kind == "ghz-sweep" and n_qubits < 2:
-            raise SpecError(f"ghz-sweep needs at least 2 qubits, got {self.n_qubits}")
+            raise SpecError(f"ghz-sweep needs at least 2 qubits, got {n_qubits}")
         if self.delta_over_eta <= 0:
             raise SpecError(f"delta_over_eta must be positive, got {self.delta_over_eta}")
         if self.n_loops < 1:
             raise SpecError(f"n_loops must be >= 1, got {self.n_loops}")
+        if self.n_loops > sys.float_info.max:  # loop_time takes n_loops to a float
+            raise SpecError(f"n_loops must fit a float, got {self.n_loops}")
         for name in ("kappa_over_eta", "gamma1_over_eta", "gamma2_over_eta"):
             if getattr(self, name) < 0:
                 raise SpecError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.cavity_dim < 2:
-            raise SpecError(f"cavity_dim must be >= 2, got {self.cavity_dim}")
+        if cavity_dim < 2:
+            raise SpecError(f"cavity_dim must be >= 2, got {cavity_dim}")
         # d > ⌊_MAX_DIM/2^N⌋ is 2^N·d > _MAX_DIM, without forming 2^N for a huge N
-        if self.cavity_dim > _MAX_DIM >> n_qubits:
+        if cavity_dim > _MAX_DIM >> n_qubits:
             raise SpecError(
-                f"joint dimension 2^{n_qubits}·{self.cavity_dim} exceeds the {_MAX_DIM} allowed"
+                f"joint dimension 2^{n_qubits}·{cavity_dim} exceeds the {_MAX_DIM} allowed"
             )
         if self.dt_override is not None and self.dt_override <= 0:
             raise SpecError(f"dt_override must be positive, got {self.dt_override}")
@@ -151,7 +164,7 @@ class ScenarioSpec:
         if self.kind == "trajectory" and any(p != 0.0 for p in phis):
             raise SpecError("the trajectory scenario compares against the zero-phase closed form; phis must be 0")
         out = self.output_path or f"{self.kind}.csv"
-        return replace(self, n_qubits=n_qubits, phis=phis, output_path=out)
+        return replace(self, n_qubits=n_qubits, cavity_dim=cavity_dim, phis=phis, output_path=out)
 
 
 def _checked(spec: ScenarioSpec, kind: str) -> ScenarioSpec:
@@ -167,7 +180,7 @@ def _sweep_values(name: str, values: Sequence[float], positive: bool) -> list[fl
     A repeated value would integrate one point twice and, in the RWA scan,
     divide by a zero log-spacing.
     """
-    if not values:
+    if len(values) == 0:  # not `not values`: a numpy array has no truth value
         raise SpecError(f"{name} values must be non-empty")
     ordered = sorted(float(v) for v in values)
     if not all(math.isfinite(v) for v in ordered):
@@ -250,19 +263,12 @@ def _write_csv(
     rows: Iterable[Sequence[float]],
     **extra: object,
 ) -> str:
-    meta: dict[str, object] = {
-        "kind": spec.kind,
-        "n_qubits": spec.n_qubits,
-        "delta_over_eta": spec.delta_over_eta,
-        "n_loops": spec.n_loops,
-        "phis": list(spec.phis or ()),
-        "kappa_over_eta": spec.kappa_over_eta,
-        "gamma1_over_eta": spec.gamma1_over_eta,
-        "gamma2_over_eta": spec.gamma2_over_eta,
-        "cavity_dim": spec.cavity_dim,
-    }
-    if spec.eta_mhz is not None:
-        meta["eta_mhz"] = spec.eta_mhz
+    # the resolved spec in field order; the plan records dt, and an unset eta_mhz is left out
+    meta: dict[str, object] = {}
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        if field.name not in ("dt_override", "output_path") and value is not None:
+            meta[field.name] = list(value) if isinstance(value, tuple) else value
     meta.update(extra)
     if cfg is not None:
         meta.update(dt=cfg.dt_effective, n_steps=cfg.n_steps, record_stride=cfg.record_stride)

@@ -100,6 +100,19 @@ class TestScenarioSpecValidation:
         with pytest.raises(SpecError, match="distinct"):
             run_rwa_scan(rwa, omega_values=(50.0, 50.0))
 
+    def test_sweep_values_accept_numpy_arrays(self, tmp_path):
+        # an array has no truth value, so emptiness is read from its length
+        spec = ScenarioSpec(kind="ghz-sweep", n_qubits=2, cavity_dim=4)
+        with pytest.raises(SpecError, match="non-empty"):
+            run_ghz_sweep(replace(spec, output_path=str(tmp_path / "e.csv")), np.array([]))
+        from_array = run_ghz_sweep(
+            replace(spec, output_path=str(tmp_path / "a.csv")), np.array([2.0, 1.0])
+        )
+        from_tuple = run_ghz_sweep(replace(spec, output_path=str(tmp_path / "t.csv")), (1.0, 2.0))
+        assert [p["m"] for p in from_array["points"]] == [1.0, 2.0]
+        with open(from_array["path"], "rb") as a, open(from_tuple["path"], "rb") as t:
+            assert a.read() == t.read()
+
 
 @pytest.fixture(scope="module")
 def bell_summary(tmp_path_factory):
@@ -511,6 +524,11 @@ class TestCli:
             # a physical eta/2pi is a positive frequency
             ["bell", "--cavity-dim", "6", "--eta-mhz", "-3"],
             ["bell", "--cavity-dim", "6", "--eta-mhz", "0"],
+            # n_loops beyond the float range: loop_time raised OverflowError with exit 1
+            ["bell", "--n-loops", str(10**400)],
+            ["ghz-sweep", "--n-qubits", "2", "--cavity-dim", "4", "--n-loops", str(10**400)],
+            ["trajectory", "--n-loops", str(10**400)],
+            [*RWA_SMALL, "--n-loops", str(10**400)],
         ],
     )
     def test_invalid_spec_exits_two(self, tmp_path, args):
@@ -536,6 +554,27 @@ class TestCli:
         out = tmp_path / "x.csv"
         assert cli.main([*args, "--out", str(out)]) == 0
         assert capsys.readouterr().out.splitlines() == [*expected, f"wrote {out}"]
+
+    def test_warning_is_one_plain_stderr_line(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli.main([*RWA_SMALL, "--omega-values", "30", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: omega values [30.0] are not well above delta=4.0; "
+            "the strong-driving comparison is unreliable there\n"
+        )
+
+    def test_header_keys_in_field_order(self, tmp_path):
+        out = tmp_path / "b.csv"
+        argv = ["bell", "--cavity-dim", "6", "--eta-mhz", "5.5", "--dt-over-eta", "0.005"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        meta, _, _ = _read_csv(str(out))
+        # the spec's fields in declaration order, without dt_override and output_path
+        assert list(meta) == [
+            "kind", "n_qubits", "delta_over_eta", "n_loops", "phis", "kappa_over_eta",
+            "gamma1_over_eta", "gamma2_over_eta", "cavity_dim", "eta_mhz",
+            "t_end", "dt", "n_steps", "record_stride",
+        ]
+        assert meta["eta_mhz"] == "5.5"
 
     def test_trajectory_stdout_lines(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -564,9 +603,9 @@ class TestCli:
     @settings(max_examples=250, deadline=None)
     @given(
         kind=st.sampled_from(["bell", "ghz-sweep", "trajectory", "rwa-scan"]),
-        n_qubits=st.integers(-1, 3),
-        cavity_dim=st.integers(0, 5),
-        n_loops=st.integers(-1, 2),
+        n_qubits=st.integers(-1, 3) | st.just(10**400),
+        cavity_dim=st.integers(0, 5) | st.just(10**400),
+        n_loops=st.integers(-1, 2) | st.just(10**400),
         delta=st.floats(1.0, 8.0),
         rates=st.lists(st.floats(0.0, 0.1), min_size=3, max_size=3),
         dt=st.none() | st.floats(1e-2, 0.05),
@@ -579,7 +618,8 @@ class TestCli:
         """Every spec ends in exit code 0, 2 or 3, never in a traceback.
 
         Floats come from moderate ranges, with up to two replaced by edge values,
-        so that many examples get past validation and run.  dt is drawn from 1e-2
+        so that many examples get past validation and run.  The integer flags
+        also take 10**400, which no float can hold.  dt is drawn from 1e-2
         up so that no example runs more than a few thousand steps; the edge dt
         1e-12 (about 10^12 steps) must be refused by the step-count envelope.
         """
@@ -613,16 +653,24 @@ class TestCli:
             cli.main(["teleport"])
         assert excinfo.value.code == 2
 
-    def test_subcommand_defaults(self):
-        parser = cli.build_parser()
-        ghz = parser.parse_args(["ghz-sweep"])
-        assert (ghz.n_qubits, ghz.cavity_dim) == (4, 24)
-        assert ghz.m_values == list(DEFAULT_M_SWEEP)
-        traj = parser.parse_args(["trajectory"])
-        assert traj.n_qubits == 1
-        rwa = parser.parse_args(["rwa-scan"])
-        assert (rwa.n_qubits, rwa.cavity_dim) == (2, 16)
-        assert rwa.omega_values == list(DEFAULT_OMEGA_SCAN)
+    def test_subcommand_defaults(self, monkeypatch):
+        # with no flags the CLI passes a spec that resolves like the library's default
+        received = {}
+        sizes = {"bell": (2, 16), "ghz-sweep": (4, 24), "trajectory": (1, 16), "rwa-scan": (2, 16)}
+        for kind in sizes:
+
+            def record(spec, *values, kind=kind):
+                received[kind] = (spec, values)
+                raise SpecError("recorded")  # stop before integrating
+
+            monkeypatch.setattr(cli, "run_" + kind.replace("-", "_"), record)
+            assert cli.main([kind]) == 2
+            spec = received[kind][0].validated()
+            assert (spec.n_qubits, spec.cavity_dim) == sizes[kind]
+            assert spec == ScenarioSpec(kind=kind).validated()
+        assert received["bell"][1] == received["trajectory"][1] == ()
+        assert received["ghz-sweep"][1] == (list(DEFAULT_M_SWEEP),)
+        assert received["rwa-scan"][1] == (list(DEFAULT_OMEGA_SCAN),)
 
     def test_phases_flow_through(self, tmp_path):
         out = tmp_path / "b.csv"
