@@ -13,8 +13,6 @@ from typing import Sequence
 
 from .dynamics import IntegratorError
 from .scenarios import (
-    DEFAULT_M_SWEEP,
-    DEFAULT_OMEGA_SCAN,
     ScenarioSpec,
     SpecError,
     run_bell,
@@ -25,7 +23,7 @@ from .scenarios import (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # each dest is a ScenarioSpec field; an absent flag leaves its field to the spec's default
+    # each dest is a ScenarioSpec field or a sweep argument; an absent flag keeps its default
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--n-qubits", type=int, help="number of driven qubits")
     common.add_argument("--delta-over-eta", type=float, help="drive-cavity detuning (units of eta)")
@@ -59,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ghz-sweep", parents=[common], help="peak GHZ fidelity vs decay ratio m = gamma/kappa"
     )
     ghz.add_argument(
-        "--m-values", type=float, nargs="+", default=list(DEFAULT_M_SWEEP),
+        "--m-values", type=float, nargs="+", default=argparse.SUPPRESS,
         help="decay ratios m to sweep",
     )
     sub.add_parser(
@@ -69,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         "rwa-scan", parents=[common], help="strong-driving infidelity scan over Rabi strength"
     )
     rwa.add_argument(
-        "--omega-values", type=float, nargs="+", default=list(DEFAULT_OMEGA_SCAN),
+        "--omega-values", type=float, nargs="+", default=argparse.SUPPRESS,
         help="Rabi strengths (units of eta) to scan",
     )
     return parser
@@ -82,8 +80,7 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 def main(argv: Sequence[str] | None = None) -> int:
     given = vars(build_parser().parse_args(argv))
-    m_values = given.pop("m_values", None)
-    omega_values = given.pop("omega_values", None)
+    sweep = [given.pop(name) for name in ("m_values", "omega_values") if name in given]
     spec = ScenarioSpec(**given)
     # the runners are module globals looked up at call time, so replacing them here takes effect
     try:
@@ -96,7 +93,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     f"at eta*t/pi = {summary['t_end'] / math.pi:.6f}"
                 ]
             elif spec.kind == "ghz-sweep":
-                summary = run_ghz_sweep(spec, m_values)
+                summary = run_ghz_sweep(spec, *sweep)
                 lines = [
                     f"ghz-sweep: m={point['m']:g} f_max={point['f_max']:.6f} "
                     f"at t={point['t_at_max']:.6f}"
@@ -109,7 +106,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     f"simulated closure = {summary['simulated_closure']:.3e}"
                 ]
             else:
-                summary = run_rwa_scan(spec, omega_values)
+                summary = run_rwa_scan(spec, *sweep)
                 lines = [
                     f"rwa-scan: omega={point['omega']:g} infidelity={point['infidelity']:.6e}"
                     for point in summary["points"]

@@ -58,12 +58,15 @@ __all__ = [
     "run_rwa_scan",
 ]
 
-# (n_qubits, cavity_dim) that each kind resolves to when the spec leaves them unset
+# what each kind resolves the fields in _KIND_FIELDS to when the spec leaves them unset.  A
+# rate of None is one the kind's run never takes, and validated() drops it: every ghz-sweep
+# point runs at γ₁ = γ₂ = m·κ, the trajectory is a closed system and rwa-scan is unitary
+_KIND_FIELDS = ("n_qubits", "cavity_dim", "kappa_over_eta", "gamma1_over_eta", "gamma2_over_eta")
 _KIND_DEFAULTS = {
-    "bell": (2, 16),
-    "ghz-sweep": (4, 24),
-    "trajectory": (1, 16),
-    "rwa-scan": (2, 16),
+    "bell": (2, 16, 1e-3, 1e-3, 1e-3),
+    "ghz-sweep": (4, 24, 1e-3, None, None),
+    "trajectory": (1, 16, None, None, None),
+    "rwa-scan": (2, 16, None, None, None),
 }
 SCENARIO_KINDS = tuple(_KIND_DEFAULTS)
 DEFAULT_M_SWEEP = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
@@ -89,8 +92,8 @@ class SpecError(ValueError):
 class ScenarioSpec:
     """Parameter set for one scenario run.  All rates in units of η.
 
-    The field defaults are the CLI's flag defaults.  ``n_qubits`` and
-    ``cavity_dim`` left unset resolve per kind in :meth:`validated`.
+    ``n_qubits``, ``cavity_dim`` and the three rates left unset resolve per
+    kind in :meth:`validated`, which also drops a rate the kind never takes.
     """
 
     kind: str
@@ -98,9 +101,9 @@ class ScenarioSpec:
     delta_over_eta: float = 4.0
     n_loops: int = 1
     phis: tuple[float, ...] | None = None
-    kappa_over_eta: float = 1e-3
-    gamma1_over_eta: float = 1e-3
-    gamma2_over_eta: float = 1e-3
+    kappa_over_eta: float | None = None
+    gamma1_over_eta: float | None = None
+    gamma2_over_eta: float | None = None
     cavity_dim: int | None = None
     dt_override: float | None = None
     output_path: str = ""
@@ -109,8 +112,9 @@ class ScenarioSpec:
     def validated(self) -> "ScenarioSpec":
         """Check constraints and return a fully resolved copy.
 
-        The copy fills in the kind's (n_qubits, cavity_dim), the zero phases
-        and the output path.  A trajectory always runs on one qubit.
+        The copy fills in the kind's defaults, the zero phases and the output
+        path, and sets to None each rate the kind's run never takes, once it
+        has passed the checks.  A trajectory always runs on one qubit.
 
         Raises
         ------
@@ -119,16 +123,19 @@ class ScenarioSpec:
         """
         if self.kind not in SCENARIO_KINDS:
             raise SpecError(f"unknown scenario kind {self.kind!r}; choose from {SCENARIO_KINDS}")
-        # NaN slips through every ordering check below, and inf reaches integer step counts
-        for field in fields(self):
-            value = getattr(self, field.name)
+        defaults = dict(zip(_KIND_FIELDS, _KIND_DEFAULTS[self.kind]))
+        spec = replace(self, **{k: v for k, v in defaults.items() if getattr(self, k) is None})
+        if spec.kind == "trajectory":
+            spec = replace(spec, n_qubits=1)  # its closed form traces one qubit's loop
+        for field in fields(spec):
+            value = getattr(spec, field.name)
+            # NaN slips through every ordering check below, and inf reaches integer step counts
             if isinstance(value, float) and not math.isfinite(value):
                 raise SpecError(f"{field.name} must be finite, got {value}")
-        default_n, default_d = _KIND_DEFAULTS[self.kind]
-        n_qubits = default_n if self.n_qubits is None else self.n_qubits
-        cavity_dim = default_d if self.cavity_dim is None else self.cavity_dim
-        if self.kind == "trajectory":
-            n_qubits = 1  # its closed form traces one qubit's loop
+            # loop_time takes n_loops to a float, and str() refuses an integer of 4300+ digits
+            if isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise SpecError(f"{field.name} must fit a float, got {value.bit_length()} bits")
+        n_qubits, cavity_dim = spec.n_qubits, spec.cavity_dim
         if n_qubits < 1:
             raise SpecError(f"n_qubits must be >= 1, got {n_qubits}")
         if self.kind == "bell" and n_qubits != 2:
@@ -139,11 +146,10 @@ class ScenarioSpec:
             raise SpecError(f"delta_over_eta must be positive, got {self.delta_over_eta}")
         if self.n_loops < 1:
             raise SpecError(f"n_loops must be >= 1, got {self.n_loops}")
-        if self.n_loops > sys.float_info.max:  # loop_time takes n_loops to a float
-            raise SpecError(f"n_loops must fit a float, got {self.n_loops}")
         for name in ("kappa_over_eta", "gamma1_over_eta", "gamma2_over_eta"):
-            if getattr(self, name) < 0:
-                raise SpecError(f"{name} must be non-negative, got {getattr(self, name)}")
+            value = getattr(spec, name)
+            if value is not None and value < 0:
+                raise SpecError(f"{name} must be non-negative, got {value}")
         if cavity_dim < 2:
             raise SpecError(f"cavity_dim must be >= 2, got {cavity_dim}")
         # d > ⌊_MAX_DIM/2^N⌋ is 2^N·d > _MAX_DIM, without forming 2^N for a huge N
@@ -164,14 +170,21 @@ class ScenarioSpec:
         if self.kind == "trajectory" and any(p != 0.0 for p in phis):
             raise SpecError("the trajectory scenario compares against the zero-phase closed form; phis must be 0")
         out = self.output_path or f"{self.kind}.csv"
-        return replace(self, n_qubits=n_qubits, cavity_dim=cavity_dim, phis=phis, output_path=out)
+        # _write_csv opens the path only after the run, so one it cannot create is refused here
+        if Path(out).is_dir() or any(p.exists() and not p.is_dir() for p in Path(out).parents):
+            raise SpecError(f"output path {out!r} is a directory or lies under a file")
+        unused = {name: None for name, default in defaults.items() if default is None}
+        return replace(spec, phis=phis, output_path=out, **unused)
 
 
-def _checked(spec: ScenarioSpec, kind: str) -> ScenarioSpec:
+def _resolved(spec: ScenarioSpec, kind: str) -> tuple[ScenarioSpec, HilbertSpace, DriveParams]:
+    """The validated spec of ``kind``, its joint space and its drive with every η_j = 1."""
     spec = spec.validated()
     if spec.kind != kind:
         raise SpecError(f"the {kind} runner needs kind={kind!r}, got {spec.kind!r}")
-    return spec
+    space = HilbertSpace(n_qubits=spec.n_qubits, cavity_dim=spec.cavity_dim)
+    drive = DriveParams((1.0,) * spec.n_qubits, spec.phis, spec.delta_over_eta)
+    return spec, space, drive
 
 
 def _sweep_values(name: str, values: Sequence[float], positive: bool) -> list[float]:
@@ -292,26 +305,13 @@ def run_bell(spec: ScenarioSpec) -> dict:
     n_loops closed loops and writes rows (eta_t_over_pi, fidelity, trace,
     purity).  Returns the final fidelity at τ_n.
     """
-    spec = _checked(spec, "bell")
-    space = HilbertSpace(n_qubits=2, cavity_dim=spec.cavity_dim)
-    drive = DriveParams(etas=(1.0, 1.0), phis=spec.phis, delta=spec.delta_over_eta)
+    spec, space, drive = _resolved(spec, "bell")
     provider = hamiltonian_h2_provider(drive, space)
     t_end = loop_time(spec.delta_over_eta, spec.n_loops)
-    cfg = _plan(
-        spec,
-        drive,
-        provider,
-        t_end,
-        records=400,
-        rates=(spec.kappa_over_eta, spec.gamma1_over_eta, spec.gamma2_over_eta),
-    )
-    rates = DecoherenceRates(
-        kappa=spec.kappa_over_eta,
-        gamma1=spec.gamma1_over_eta,
-        gamma2=spec.gamma2_over_eta,
-    )
+    rates = (spec.kappa_over_eta, spec.gamma1_over_eta, spec.gamma2_over_eta)
+    cfg = _plan(spec, drive, provider, t_end, records=400, rates=rates)
     initial = QuantumState.from_pure(space, ground_state(space))
-    result = evolve_lindblad(provider, rates, initial, bell_target(), cfg)
+    result = evolve_lindblad(provider, DecoherenceRates(*rates), initial, bell_target(), cfg)
 
     rows = zip(result.times / math.pi, result.fidelities, result.traces, result.purities)
     header = ("eta_t_over_pi", "fidelity", "trace", "purity")
@@ -332,10 +332,8 @@ def run_ghz_sweep(spec: ScenarioSpec, m_values: Sequence[float] = DEFAULT_M_SWEE
     row (m, f_max, t_at_max).  Points run one after another in ascending m,
     so the rows and bytes do not depend on the order of ``m_values``.
     """
-    spec = _checked(spec, "ghz-sweep")
+    spec, space, drive = _resolved(spec, "ghz-sweep")
     ms = _sweep_values("m", m_values, positive=False)
-    space = HilbertSpace(n_qubits=spec.n_qubits, cavity_dim=spec.cavity_dim)
-    drive = DriveParams(etas=(1.0,) * spec.n_qubits, phis=spec.phis, delta=spec.delta_over_eta)
     provider = hamiltonian_h2_provider(drive, space)
     t_end = 2.0 * loop_time(spec.delta_over_eta, spec.n_loops)
     # the plan serves every point, so it is bounded at the largest γ₁ = γ₂ = m·κ
@@ -373,12 +371,10 @@ def run_trajectory(spec: ScenarioSpec) -> dict:
     analytic loops of the two σ^x branches (mirror images through the
     origin) and the propagated ⟨x⟩, ⟨p⟩ of the σ^x eigenstate that traces
     the positive-x loop under this drive convention (the -1 eigenstate).
-    Decoherence rates in the scenario parameters are ignored (closed-system check).
+    A closed-system check: validation drops the spec's rates, so the header records none.
     """
-    spec = _checked(spec, "trajectory")
+    spec, space, drive = _resolved(spec, "trajectory")
     delta = spec.delta_over_eta
-    space = HilbertSpace(n_qubits=1, cavity_dim=spec.cavity_dim)
-    drive = DriveParams(etas=(1.0,), phis=spec.phis, delta=delta)
     provider = hamiltonian_h2_provider(drive, space)
     t_end = loop_time(delta, spec.n_loops)
     # exactly 512 rows per loop: the step count is a multiple of the row count
@@ -423,21 +419,6 @@ def run_trajectory(spec: ScenarioSpec) -> dict:
     }
 
 
-def _rwa_point(omega: float, spec: ScenarioSpec, space: HilbertSpace) -> dict:
-    delta = spec.delta_over_eta
-    drive = DriveParams(
-        etas=(1.0,) * spec.n_qubits, phis=spec.phis, delta=delta, omega=omega
-    )
-    full = hamiltonian_h1_provider(drive, space)
-    approx = hamiltonian_h2_provider(drive, space)
-    cfg = _plan(spec, drive, full, loop_time(delta, spec.n_loops))
-    psi0 = ground_state(space)
-    psi_full = evolve_unitary(full, psi0, cfg)
-    psi_approx = evolve_unitary(approx, psi0, cfg)
-    infid = 1.0 - abs(np.vdot(psi_approx, psi_full)) ** 2
-    return {"omega": omega, "infidelity": float(infid)}
-
-
 def run_rwa_scan(spec: ScenarioSpec, omega_values: Sequence[float] = DEFAULT_OMEGA_SCAN) -> dict:
     """Strong-driving validity scan: overlap infidelity between the full and
     drive-only Hamiltonians after one loop, as a function of Ω/η.
@@ -448,7 +429,7 @@ def run_rwa_scan(spec: ScenarioSpec, omega_values: Sequence[float] = DEFAULT_OME
     exponent is the finite-difference log-log slope at each point; the
     overall least-squares slope lands in the metadata and the summary.
     """
-    spec = _checked(spec, "rwa-scan")
+    spec, space, drive = _resolved(spec, "rwa-scan")
     omegas = _sweep_values("omega", omega_values, positive=True)
     slow = [w for w in omegas if w < 10.0 * spec.delta_over_eta]
     if slow:
@@ -457,8 +438,18 @@ def run_rwa_scan(spec: ScenarioSpec, omega_values: Sequence[float] = DEFAULT_OME
             "the strong-driving comparison is unreliable there",
             stacklevel=2,
         )
-    space = HilbertSpace(n_qubits=spec.n_qubits, cavity_dim=spec.cavity_dim)
-    points = [_rwa_point(w, spec, space) for w in omegas]
+    t_end = loop_time(spec.delta_over_eta, spec.n_loops)
+    psi0 = ground_state(space)
+    points = []
+    for omega in omegas:
+        drive = replace(drive, omega=omega)
+        full = hamiltonian_h1_provider(drive, space)
+        approx = hamiltonian_h2_provider(drive, space)
+        cfg = _plan(spec, drive, full, t_end)
+        psi_full = evolve_unitary(full, psi0, cfg)
+        psi_approx = evolve_unitary(approx, psi0, cfg)
+        infid = 1.0 - abs(np.vdot(psi_approx, psi_full)) ** 2
+        points.append({"omega": omega, "infidelity": float(infid)})
 
     log_w = np.log([p["omega"] for p in points])
     log_i = np.log([p["infidelity"] for p in points])

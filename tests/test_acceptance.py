@@ -43,9 +43,7 @@ from geomgate.scenarios import (
     run_rwa_scan,
     run_trajectory,
 )
-from test_core import _displaced_vacuum
-from test_dynamics import _zero_provider
-from test_model import _propagator_gate_distance
+from oracles import _displaced_vacuum, _propagator_gate_distance, _zero_provider
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

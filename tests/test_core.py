@@ -21,6 +21,8 @@ from geomgate.core import (
     quadrature_x,
 )
 
+from oracles import _displaced_vacuum, _eigh_expm, _random_density
+
 RNG = np.random.default_rng(20240817)
 
 
@@ -29,27 +31,6 @@ def _complex_matrix(rows: int, cols: int):
     return hnp.arrays(np.float64, (rows, cols, 2), elements=elems).map(
         lambda a: a[..., 0] + 1j * a[..., 1]
     )
-
-
-def _random_density(dim: int) -> np.ndarray:
-    a = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho)
-
-
-def _eigh_expm(a: np.ndarray) -> np.ndarray:
-    """Test oracle: e^A of an anti-Hermitian A = −iH as V·e^{−iw}·V† from one eigh of H.
-
-    It shares no code with :func:`geomgate.core.matexp`, a Taylor series.
-    """
-    w, v = np.linalg.eigh(1j * np.asarray(a, dtype=complex))
-    return (v * np.exp(-1j * w)) @ v.conj().T
-
-
-def _displaced_vacuum(d: int, alpha: complex) -> np.ndarray:
-    """Test helper: D(α)|0⟩ = exp(αa† − α*a)|0⟩ on a d-level cavity, via matexp."""
-    a = annihilation(d)
-    return matexp(alpha * a.conj().T - np.conj(alpha) * a) @ fock_state(d, 0)
 
 
 class TestMatexp:
@@ -174,7 +155,7 @@ class TestEmbed:
 class TestPartialTraceCavity:
     def test_pure_cavity_product_state(self):
         space = HilbertSpace(2, 3)
-        rho_q = _random_density(4)
+        rho_q = _random_density(4, RNG)
         cav = np.zeros((3, 3), dtype=complex)
         cav[0, 0] = 1.0
         state = QuantumState(space, np.kron(rho_q, cav))
@@ -182,7 +163,7 @@ class TestPartialTraceCavity:
 
     def test_mixed_cavity_product_state(self):
         space = HilbertSpace(2, 3)
-        rho_q = _random_density(4)
+        rho_q = _random_density(4, RNG)
         cav = np.diag([0.5, 0.5, 0.0]).astype(complex)
         state = QuantumState(space, np.kron(rho_q, cav))
         np.testing.assert_allclose(_reduced_qubit_rho(state.rho, 2, 3), rho_q, atol=1e-14)
@@ -204,7 +185,7 @@ class TestPartialTraceCavity:
         )
 
     def test_trace_preserving_and_linear(self):
-        rho1, rho2 = _random_density(8), _random_density(8)
+        rho1, rho2 = _random_density(8, RNG), _random_density(8, RNG)
         pt = lambda r: _reduced_qubit_rho(r, 1, 4)
         assert abs(np.trace(pt(rho1)) - np.trace(rho1)) < 1e-10
         np.testing.assert_allclose(
@@ -241,7 +222,7 @@ class TestHilbertSpace:
 class TestQuantumState:
     def test_accepts_valid_state(self):
         space = HilbertSpace(1, 3)
-        state = QuantumState(space, _random_density(6))
+        state = QuantumState(space, _random_density(6, RNG))
         assert state.rho.shape == (6, 6)
 
     def test_from_pure_builds_projector(self):

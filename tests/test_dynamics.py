@@ -42,30 +42,19 @@ from geomgate.model import (
     pair_coupling_rate,
     theta_of_schedule,
 )
-from test_core import _eigh_expm
-from test_model import _dense_h, _h2_literal, _propagator_gate_distance
+from oracles import (
+    _branch_qubit_rho,
+    _constant_provider,
+    _dense_h,
+    _eigh_expm,
+    _h2_literal,
+    _propagator_gate_distance,
+    _random_density,
+    _with_frame,
+    _zero_provider,
+)
 
 RNG = np.random.default_rng(7)
-
-
-def _with_frame(p_of_t, frame):
-    """``p_of_t`` re-wrapped to carry ``frame``, whatever frame it had."""
-
-    def provider(t):
-        return p_of_t(t)
-
-    provider.frame = frame
-    return provider
-
-
-def _constant_provider(p):
-    """P(t) = ``p`` for every t, with the zero frame (δ, G) = (0, 0) that this obeys."""
-    return _with_frame(lambda t: p, (0.0, np.zeros_like(p)))
-
-
-def _zero_provider(qubit_dim):
-    """No drive: P(t) = 0 on a register of ``qubit_dim`` states."""
-    return _constant_provider(np.zeros((qubit_dim, qubit_dim), dtype=complex))
 
 
 def _stepped_propagation(provider, x, cfg):
@@ -82,12 +71,6 @@ def _stepped_propagation(provider, x, cfg):
         h = _dense_h(provider((step - 0.5) * dt), d)
         x = matexp(-1j * dt * h) @ x
     return x
-
-
-def _random_density(dim):
-    a = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho)
 
 
 def _random_register(q):
@@ -181,7 +164,7 @@ class TestDissipatorAgainstDenseReference:
     )
     def test_structured_equals_dense(self, n_qubits, cavity_dim, rates):
         space = HilbertSpace(n_qubits, cavity_dim)
-        rho = _random_density(space.dim)
+        rho = _random_density(space.dim, RNG)
         p = _random_register(space.qubit_dim)
         got = _rhs(
             lambda t: p,
@@ -197,7 +180,7 @@ class TestDissipatorAgainstDenseReference:
 
     def test_zero_rates_reduce_to_commutator(self):
         space = HilbertSpace(1, 4)
-        rho = _random_density(8)
+        rho = _random_density(8, RNG)
         p = _random_register(2)
         h = _dense_h(p, 4)
         diss = _Dissipator(DecoherenceRates(), space)
@@ -425,6 +408,64 @@ class TestLindbladOracles:
         )
         assert res.positivity_checks
         assert min(eig for _, eig in res.positivity_checks) >= -1e-6
+
+
+def _branch_gap(etas, kappa, cavity_dim, dt, seed):
+    """Largest entry of |ρ_q − exact| for an H₂ run with cavity decay alone, at δ = 4 and t = 2.
+
+    The run starts from a seeded random ρ_q ⊗ |0⟩⟨0| with seeded phases and
+    stops after 1.27 loops, where every branch is displaced; ``exact`` is
+    :func:`oracles._branch_qubit_rho`, and the partial trace is numpy's own.
+    """
+    rng = np.random.default_rng(seed)
+    q, d = 2 ** len(etas), cavity_dim
+    rho_q0 = _random_density(q, rng)
+    phis = rng.uniform(-math.pi, math.pi, len(etas))
+    space = HilbertSpace(len(etas), d)
+    rho = np.zeros((q * d, q * d), dtype=complex)
+    rho[::d, ::d] = rho_q0
+    provider = hamiltonian_h2_provider(DriveParams(etas, phis, 4.0), space)
+    cfg = IntegratorConfig(
+        dt=dt, t_end=2.0, record_stride=10**6, max_frequency=provider.max_frequency
+    )
+    res = evolve_lindblad(
+        provider, DecoherenceRates(kappa=kappa), QuantumState(space, rho), None, cfg
+    )
+    got = res.final_rho.reshape(q, d, q, d).trace(axis1=1, axis2=3)
+    return float(np.abs(got - _branch_qubit_rho(rho_q0, etas, phis, 4.0, kappa, 2.0)).max())
+
+
+class TestCoherentBranchOracle:
+    """evolve_lindblad with cavity decay alone, judged by the exact untruncated branch form."""
+
+    DT = 1 / 80  # just inside the 2π/(100·δ) sampling limit at δ = 4
+
+    def test_gap_falls_as_dt4_at_two_qubits(self):
+        # at N=2, d=16 truncation is far below the step error, so the gap is RK4's
+        # global error and each halving of dt divides it by 2⁴
+        gaps = [_branch_gap((1.0, 0.6), 0.2, 16, self.DT / 2**k, seed=1) for k in range(3)]
+        assert gaps[0] < 2e-8
+        assert [a / b for a, b in zip(gaps, gaps[1:])] == [pytest.approx(16, rel=0.2)] * 2
+
+    @pytest.mark.parametrize(
+        "etas,kappa",
+        [((1.0, 0.6), 0.05), ((1.0, 0.6), 0.2), ((1.0, 0.8, 0.5), 0.2)],
+        ids=["N2-kappa0.05", "N2-kappa0.2", "N3-kappa0.2"],
+    )
+    def test_final_qubit_matrix_matches_at_half_step(self, etas, kappa):
+        # stated from the N=2 trend: below 2e-8 at DT, so below 1.25e-9 at DT/2, with a
+        # factor 2 for the larger branch amplitudes at N=3
+        tolerance = 2.5e-9
+        assert _branch_gap(etas, kappa, 16, self.DT / 2, seed=2) < tolerance
+
+    def test_truncation_gap_does_not_shrink_with_the_step(self):
+        # at N=3, d=8 the top Fock levels clip the branches: the gap is truncation,
+        # far above the step error and flat under halving of dt
+        coarse, fine = (
+            _branch_gap((1.0, 0.8, 0.5), 0.2, 8, self.DT / 2**k, seed=3) for k in (0, 1)
+        )
+        assert coarse > 1e-7
+        assert fine == pytest.approx(coarse, rel=0.01)
 
 
 def _final_rho_from_random_start(n_qubits, cavity_dim, driven, seed=5):

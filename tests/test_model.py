@@ -29,9 +29,8 @@ from geomgate.model import (
     theta_of_schedule,
     trajectory,
 )
-from test_core import _eigh_expm
+from oracles import SX, _dense_h, _eigh_expm, _h2_literal, _propagator_gate_distance
 
-SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 MINUS = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
 
@@ -85,22 +84,6 @@ def _drive(n=2, delta=4.0, omega=0.0, phis=None, etas=None):
     )
 
 
-def _dense_h(p, d):
-    """Test oracle: the dense drive H = P⊗a + P†⊗a† of a register matrix P and a d-level cavity."""
-    u = np.kron(p, np.diag(np.sqrt(np.arange(1.0, d)), k=1))  # a; zero at d = 1
-    return u + u.conj().T
-
-
-def _h2_literal(drive, space, t):
-    """H2(t) = Σ_j η_j [a e^{i(δt + φ_j)} + a† e^{-i(δt + φ_j)}] σ_j^x, term by term."""
-    a = embed(annihilation(space.cavity_dim), CAVITY, space)
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    for j in range(1, space.n_qubits + 1):
-        z = drive.etas[j - 1] * np.exp(1j * (drive.delta * t + drive.phis[j - 1]))
-        h += (z * a + np.conj(z) * a.conj().T) @ embed(SX, j, space)
-    return h
-
-
 def _h1_literal(drive, space, t):
     """H2(t) plus Σ_j η_j [a e^{i(δt + φ_j)} (e^{iΩt}|+⟩⟨-|_j - e^{-iΩt}|-⟩⟨+|_j) + h.c.]."""
     a = embed(annihilation(space.cavity_dim), CAVITY, space)
@@ -116,24 +99,6 @@ def _h1_literal(drive, space, t):
         term = z * (a @ cross)
         h += term + term.conj().T
     return h
-
-
-def _propagator_gate_distance(propagator, gate, space, n_fock_keep=None):
-    """Test oracle: phase-aligned max-entry distance between a joint propagator and gate ⊗ I_cavity.
-
-    Only the Fock levels ``0..n_fock_keep-1`` are compared: columns that start
-    near the truncation edge cannot execute the cavity loop and carry
-    truncation error unrelated to the gate.  The trace overlap fixes the
-    global phase before the distance is taken.
-    """
-    keep = space.cavity_dim if n_fock_keep is None else n_fock_keep
-    sub_idx = np.arange(space.dim).reshape(space.qubit_dim, space.cavity_dim)[:, :keep].ravel()
-    block = propagator[np.ix_(sub_idx, sub_idx)]
-    ref = np.kron(gate, np.eye(keep, dtype=complex))
-    overlap = complex(np.einsum("ij,ij->", ref.conj(), block))
-    if abs(overlap) > 0:
-        block = block * (overlap.conjugate() / abs(overlap))
-    return float(np.abs(block - ref).max())
 
 
 class TestDriveHamiltonians:

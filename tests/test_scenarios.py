@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import math
 import re
@@ -78,6 +79,18 @@ class TestScenarioSpecValidation:
         spec = ScenarioSpec(kind="trajectory", n_qubits=3).validated()
         assert spec.n_qubits == 1
         assert spec.phis == (0.0,)
+
+    @pytest.mark.parametrize("field", ["n_qubits", "cavity_dim", "n_loops"])
+    @pytest.mark.parametrize("kind", ["bell", "ghz-sweep", "trajectory", "rwa-scan"])
+    def test_huge_integers_are_spec_errors(self, kind, field):
+        # str() of an integer of more than 4300 digits raises a plain ValueError, so a
+        # message that echoed one escaped SpecError
+        spec = ScenarioSpec(kind=kind, **{field: 10**5000})
+        if (kind, field) == ("trajectory", "n_qubits"):
+            assert spec.validated().n_qubits == 1
+        else:
+            with pytest.raises(SpecError, match=f"{field} must fit a float"):
+                spec.validated()
 
     def test_runner_rejects_mismatched_kind(self, tmp_path):
         spec = ScenarioSpec(kind="bell", output_path=str(tmp_path / "x.csv"))
@@ -529,12 +542,26 @@ class TestCli:
             ["ghz-sweep", "--n-qubits", "2", "--cavity-dim", "4", "--n-loops", str(10**400)],
             ["trajectory", "--n-loops", str(10**400)],
             [*RWA_SMALL, "--n-loops", str(10**400)],
+            # an output path that cannot be written: an existing directory, a path under a
+            # file; both used to integrate the whole run and then exit 1 with a traceback
+            ["bell", "--cavity-dim", "4", "--out", "{tmp}/dir"],
+            ["bell", "--cavity-dim", "4", "--out", "{tmp}/file/x.csv"],
         ],
     )
-    def test_invalid_spec_exits_two(self, tmp_path, args):
-        out = tmp_path / "x.csv"
-        assert cli.main([*args, "--out", str(out)]) == 2
-        assert not out.exists()
+    def test_invalid_spec_exits_two(self, tmp_path, monkeypatch, args):
+        def never(*a, **k):
+            raise AssertionError("an evolver was called")
+
+        for name in ("evolve_lindblad", "evolve_unitary"):
+            monkeypatch.setattr(scenarios, name, never)
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        argv = [arg.format(tmp=tmp_path) for arg in args]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 2
+        # no CSV written, nothing created
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "file"]
 
     @pytest.mark.parametrize(
         "args, expected",
@@ -562,6 +589,34 @@ class TestCli:
             "warning: omega values [30.0] are not well above delta=4.0; "
             "the strong-driving comparison is unreliable there\n"
         )
+
+    def test_header_records_only_the_rates_a_kind_takes(self, tmp_path):
+        # ghz-sweep runs each point at γ₁ = γ₂ = m·κ, the trajectory is closed, rwa-scan unitary
+        rates = ["--kappa-over-eta", "0.01", "--gamma1-over-eta", "0.02", "--gamma2-over-eta", "0.03"]
+        small = {
+            "bell": ["--cavity-dim", "4"],
+            "ghz-sweep": ["--n-qubits", "2", "--cavity-dim", "4", "--m-values", "1"],
+            "trajectory": ["--cavity-dim", "4"],
+            "rwa-scan": [*RWA_SMALL[1:], "--omega-values", "50"],
+        }
+        recorded = {}
+        for kind, args in small.items():
+            out = tmp_path / f"{kind}.csv"
+            assert cli.main([kind, *args, *rates, "--out", str(out)]) == 0
+            meta, _, _ = _read_csv(str(out))
+            recorded[kind] = {key: meta[key] for key in meta if key[:5] in ("kappa", "gamma")}
+        assert recorded == {
+            "bell": {"kappa_over_eta": "0.01", "gamma1_over_eta": "0.02", "gamma2_over_eta": "0.03"},
+            "ghz-sweep": {"kappa_over_eta": "0.01"},
+            "trajectory": {},
+            "rwa-scan": {},
+        }
+
+    def test_huge_integer_error_is_one_short_line(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli.main(["bell", "--cavity-dim", str(10**400), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 100, err
 
     def test_header_keys_in_field_order(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -669,8 +724,12 @@ class TestCli:
             assert (spec.n_qubits, spec.cavity_dim) == sizes[kind]
             assert spec == ScenarioSpec(kind=kind).validated()
         assert received["bell"][1] == received["trajectory"][1] == ()
-        assert received["ghz-sweep"][1] == (list(DEFAULT_M_SWEEP),)
-        assert received["rwa-scan"][1] == (list(DEFAULT_OMEGA_SCAN),)
+        # no sweep flag forwards no sweep value, so each runner's own default applies
+        assert received["ghz-sweep"][1] == received["rwa-scan"][1] == ()
+        assert [
+            inspect.signature(run_ghz_sweep).parameters["m_values"].default,
+            inspect.signature(run_rwa_scan).parameters["omega_values"].default,
+        ] == [DEFAULT_M_SWEEP, DEFAULT_OMEGA_SCAN]
 
     def test_phases_flow_through(self, tmp_path):
         out = tmp_path / "b.csv"
