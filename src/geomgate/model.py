@@ -9,7 +9,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,9 +21,7 @@ from .core import (
 )
 
 __all__ = [
-    "PhysicalParams",
     "DriveParams",
-    "Trajectory",
     "effective_coupling",
     "hamiltonian_h1_provider",
     "hamiltonian_h2_provider",
@@ -43,55 +41,43 @@ PLUS_MINUS = 0.5 * np.array([[1.0, -1.0], [1.0, -1.0]], dtype=complex)
 MINUS_PLUS = PLUS_MINUS.conj().T
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Raw hardware rates behind one qubit's effective drive-cavity coupling.
+def effective_coupling(
+    g: float, omega_l: float, delta_big: float, delta_small: float = 0.0
+) -> float:
+    """Effective drive-cavity coupling η = (g·Ω_L/2)(1/(Δ+δ) + 1/Δ) of one Λ qubit.
 
     All four are angular frequencies in a common unit: ``g`` the qubit-cavity
     coupling, ``omega_l`` the classical drive strength, ``delta_big`` the
-    drive detuning from the upper level, ``delta_small`` the residual
-    two-photon detuning.  The adiabatic elimination behind
-    :func:`effective_coupling` is only trustworthy for
-    ``delta_big >> delta_small``; construction warns below a 10× ratio.
-    Non-finite values are rejected at construction.
-    """
-
-    g: float
-    omega_l: float
-    delta_big: float
-    delta_small: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("g", "omega_l", "delta_big", "delta_small"):
-            # NaN passes `<= 0` and silences the 10x warning; an infinite Δ zeroes η
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.delta_big <= 0:
-            raise ValueError(f"delta_big must be positive, got {self.delta_big}")
-        if self.delta_big < 10.0 * abs(self.delta_small):
-            warnings.warn(
-                "delta_big is less than 10x |delta_small|; the effective "
-                "coupling formula degrades outside the dispersive regime",
-                stacklevel=3,
-            )
-
-
-def effective_coupling(p: PhysicalParams) -> float:
-    """Effective drive-cavity coupling η = (g·Ω_L/2)(1/(Δ+δ) + 1/Δ) of one qubit.
-
-    At δ = 0 it reduces to g·Ω_L/Δ.
+    drive detuning Δ from the upper level, ``delta_small`` the residual
+    two-photon detuning δ.  At δ = 0 it reduces to g·Ω_L/Δ.  The adiabatic
+    elimination behind it is only trustworthy for Δ ≫ |δ|; it warns below a
+    10× ratio.
 
     Raises
     ------
     ValueError
-        If a denominator vanishes or turns negative (Δ + δ ≤ 0).
+        If a value is not finite, Δ ≤ 0, or a denominator vanishes or turns
+        negative (Δ + δ ≤ 0).
     """
-    if p.delta_big + p.delta_small <= 0:
-        raise ValueError(
-            f"delta_big + delta_small must be positive, got {p.delta_big + p.delta_small}"
+    for name, value in (
+        ("g", g), ("omega_l", omega_l), ("delta_big", delta_big), ("delta_small", delta_small)
+    ):
+        # NaN passes `<= 0` and silences the 10x warning; an infinite Δ zeroes η
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if delta_big <= 0:
+        raise ValueError(f"delta_big must be positive, got {delta_big}")
+    if delta_big < 10.0 * abs(delta_small):
+        warnings.warn(
+            "delta_big is less than 10x |delta_small|; the effective "
+            "coupling formula degrades outside the dispersive regime",
+            stacklevel=2,
         )
-    return 0.5 * p.g * p.omega_l * (1.0 / (p.delta_big + p.delta_small) + 1.0 / p.delta_big)
+    if delta_big + delta_small <= 0:
+        raise ValueError(
+            f"delta_big + delta_small must be positive, got {delta_big + delta_small}"
+        )
+    return 0.5 * g * omega_l * (1.0 / (delta_big + delta_small) + 1.0 / delta_big)
 
 
 @dataclass(frozen=True)
@@ -109,17 +95,11 @@ class DriveParams:
     delta: float
     omega: float = 0.0
 
-    def __init__(
-        self,
-        etas: Sequence[float],
-        phis: Sequence[float],
-        delta: float,
-        omega: float = 0.0,
-    ) -> None:
-        object.__setattr__(self, "etas", tuple(float(e) for e in etas))
-        object.__setattr__(self, "phis", tuple(float(p) for p in phis))
-        object.__setattr__(self, "delta", float(delta))
-        object.__setattr__(self, "omega", float(omega))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
+        object.__setattr__(self, "phis", tuple(float(p) for p in self.phis))
+        object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "omega", float(self.omega))
         if len(self.etas) != len(self.phis):
             raise ValueError(
                 f"etas and phis must have equal length, got {len(self.etas)} and {len(self.phis)}"
@@ -260,30 +240,13 @@ def default_dt(drive: DriveParams) -> float:
     return 2.0 * math.pi / (200 * fastest)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled phase-space loop (x(t), p(t)) of the driven cavity.
+def trajectory(
+    eta: float, delta: float, times: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form displacement loop (x(t), p(t)) = (√2η(1-cos δt)/δ, √2η sin(δt)/δ).
 
-    All points lie on the circle of radius √2η/δ centred at (√2η/δ, 0).
-    """
-
-    times: np.ndarray = field(repr=False)
-    xs: np.ndarray = field(repr=False)
-    ps: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        xs = np.asarray(self.xs, dtype=float)
-        ps = np.asarray(self.ps, dtype=float)
-        if not (times.shape == xs.shape == ps.shape) or times.ndim != 1:
-            raise ValueError("times, xs, ps must be 1-D arrays of equal length")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ps", ps)
-
-
-def trajectory(eta: float, delta: float, times: Sequence[float]) -> Trajectory:
-    """Closed-form displacement loop x(t) = √2η(1-cos δt)/δ, p(t) = √2η sin(δt)/δ.
+    Returns the arrays ``(xs, ps)`` at ``times``.  All points lie on the circle
+    of radius √2η/δ centred at (√2η/δ, 0).
 
     This is the loop on the positive-x side of phase space; the two σ^x
     eigenstates trace this curve and its point reflection through the origin.
@@ -300,7 +263,7 @@ def trajectory(eta: float, delta: float, times: Sequence[float]) -> Trajectory:
         raise ValueError("delta must be nonzero for a closed displacement loop")
     t = np.asarray(times, dtype=float)
     amp = math.sqrt(2.0) * eta / delta
-    return Trajectory(times=t, xs=amp * (1.0 - np.cos(delta * t)), ps=amp * np.sin(delta * t))
+    return amp * (1.0 - np.cos(delta * t)), amp * np.sin(delta * t)
 
 
 def loop_time(delta: float, n: int = 1) -> float:
@@ -327,27 +290,23 @@ def theta_of_schedule(eta: float, delta: float, n: int = 1, phi1: float = 0.0) -
     return pair_coupling_rate(eta, delta) * loop_time(delta, n) * math.cos(phi1)
 
 
-def effective_all_to_all(
-    lambda_: float, phis: Sequence[float], space: HilbertSpace
-) -> np.ndarray:
+def effective_all_to_all(lambda_: float, phis: Sequence[float]) -> np.ndarray:
     """All-to-all effective Hamiltonian λ Σ_{j<k} cos(φ_j - φ_k) σ_j^x σ_k^x.
 
-    ``space`` must be qubit-only (cavity_dim = 1): the cavity is already
-    eliminated in this picture.
+    The cavity is already eliminated in this picture: the result is the
+    2^N×2^N register matrix of N = len(phis) qubits.
 
     Raises
     ------
     ValueError
-        If fewer than two qubits, or the space retains a cavity factor.
+        If fewer than two phases are given.
     """
-    if space.cavity_dim != 1:
-        raise ValueError("effective model lives on a qubit-only space (cavity_dim = 1)")
-    n = space.n_qubits
-    if n < 2 or len(phis) != n:
-        raise ValueError(f"need phis for >= 2 qubits, got {len(phis)} phases for N={n}")
+    n = len(phis)
+    if n < 2:
+        raise ValueError(f"need phis for >= 2 qubits, got {n}")
     # A·A† = N·I + Σ_{j≠k} e^{i(φ_j−φ_k)} σ_j^x σ_k^x, and the j<k and k<j terms pair to 2·cos
     a = _qubit_sum([cmath.exp(1j * p) for p in phis], SIGMA_X)
-    return 0.5 * lambda_ * (a @ a.conj().T - n * np.eye(space.dim))
+    return 0.5 * lambda_ * (a @ a.conj().T - n * np.eye(2**n))
 
 
 def gate_unitary(theta: float, n: int) -> np.ndarray:

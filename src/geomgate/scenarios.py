@@ -10,11 +10,10 @@ deterministic — same spec, same bytes.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -132,8 +131,9 @@ class ScenarioSpec:
             # NaN slips through every ordering check below, and inf reaches integer step counts
             if isinstance(value, float) and not math.isfinite(value):
                 raise SpecError(f"{field.name} must be finite, got {value}")
-            # loop_time takes n_loops to a float, and str() refuses an integer of 4300+ digits
-            if isinstance(value, int) and abs(value) > sys.float_info.max:
+            # loop_time takes n_loops to a float, and a later message would echo every digit;
+            # the dimension and step caps keep every valid integer far below 2**53
+            if isinstance(value, int) and abs(value) > 2**53:
                 raise SpecError(f"{field.name} must fit a float, got {value.bit_length()} bits")
         n_qubits, cavity_dim = spec.n_qubits, spec.cavity_dim
         if n_qubits < 1:
@@ -177,14 +177,17 @@ class ScenarioSpec:
         return replace(spec, phis=phis, output_path=out, **unused)
 
 
-def _resolved(spec: ScenarioSpec, kind: str) -> tuple[ScenarioSpec, HilbertSpace, DriveParams]:
-    """The validated spec of ``kind``, its joint space and its drive with every η_j = 1."""
+def _resolved(
+    spec: ScenarioSpec, kind: str
+) -> tuple[ScenarioSpec, HilbertSpace, DriveParams, Callable]:
+    """The validated spec of ``kind``, its joint space, its drive with every η_j = 1 and
+    that drive's H₂ provider, which all four runners drive with."""
     spec = spec.validated()
     if spec.kind != kind:
         raise SpecError(f"the {kind} runner needs kind={kind!r}, got {spec.kind!r}")
     space = HilbertSpace(n_qubits=spec.n_qubits, cavity_dim=spec.cavity_dim)
     drive = DriveParams((1.0,) * spec.n_qubits, spec.phis, spec.delta_over_eta)
-    return spec, space, drive
+    return spec, space, drive, hamiltonian_h2_provider(drive, space)
 
 
 def _sweep_values(name: str, values: Sequence[float], positive: bool) -> list[float]:
@@ -305,8 +308,7 @@ def run_bell(spec: ScenarioSpec) -> dict:
     n_loops closed loops and writes rows (eta_t_over_pi, fidelity, trace,
     purity).  Returns the final fidelity at τ_n.
     """
-    spec, space, drive = _resolved(spec, "bell")
-    provider = hamiltonian_h2_provider(drive, space)
+    spec, space, drive, provider = _resolved(spec, "bell")
     t_end = loop_time(spec.delta_over_eta, spec.n_loops)
     rates = (spec.kappa_over_eta, spec.gamma1_over_eta, spec.gamma2_over_eta)
     cfg = _plan(spec, drive, provider, t_end, records=400, rates=rates)
@@ -332,9 +334,8 @@ def run_ghz_sweep(spec: ScenarioSpec, m_values: Sequence[float] = DEFAULT_M_SWEE
     row (m, f_max, t_at_max).  Points run one after another in ascending m,
     so the rows and bytes do not depend on the order of ``m_values``.
     """
-    spec, space, drive = _resolved(spec, "ghz-sweep")
+    spec, space, drive, provider = _resolved(spec, "ghz-sweep")
     ms = _sweep_values("m", m_values, positive=False)
-    provider = hamiltonian_h2_provider(drive, space)
     t_end = 2.0 * loop_time(spec.delta_over_eta, spec.n_loops)
     # the plan serves every point, so it is bounded at the largest γ₁ = γ₂ = m·κ
     gamma = ms[-1] * spec.kappa_over_eta
@@ -373,9 +374,8 @@ def run_trajectory(spec: ScenarioSpec) -> dict:
     the positive-x loop under this drive convention (the -1 eigenstate).
     A closed-system check: validation drops the spec's rates, so the header records none.
     """
-    spec, space, drive = _resolved(spec, "trajectory")
+    spec, space, drive, provider = _resolved(spec, "trajectory")
     delta = spec.delta_over_eta
-    provider = hamiltonian_h2_provider(drive, space)
     t_end = loop_time(delta, spec.n_loops)
     # exactly 512 rows per loop: the step count is a multiple of the row count
     n_rows = 512 * spec.n_loops
@@ -397,24 +397,20 @@ def run_trajectory(spec: ScenarioSpec) -> dict:
         cfg,
         observables=observables,
     )
-    analytic = trajectory(1.0, delta, result.times)
+    xs, ps = trajectory(1.0, delta, result.times)
     x_sim = result.observables["x"]
     p_sim = result.observables["p"]
 
-    rows = zip(
-        analytic.times, analytic.xs, analytic.ps, -analytic.xs, -analytic.ps, x_sim, p_sim
-    )
+    rows = zip(result.times, xs, ps, -xs, -ps, x_sim, p_sim)
     header = ("t", "x_plus", "p_plus", "x_minus", "p_minus", "x_sim", "p_sim")
     path = _write_csv(spec, cfg, header, rows, t_end=t_end)
-    max_dev = max(
-        float(np.abs(x_sim - analytic.xs).max()), float(np.abs(p_sim - analytic.ps).max())
-    )
+    max_dev = max(float(np.abs(x_sim - xs).max()), float(np.abs(p_sim - ps).max()))
     return {
         "path": path,
         "max_sim_deviation": max_dev,
-        "analytic_closure": math.hypot(analytic.xs[-1], analytic.ps[-1]),
+        "analytic_closure": math.hypot(xs[-1], ps[-1]),
         "simulated_closure": math.hypot(x_sim[-1], p_sim[-1]),
-        "x_max_analytic": float(analytic.xs.max()),
+        "x_max_analytic": float(xs.max()),
         "result": result,
     }
 
@@ -429,7 +425,7 @@ def run_rwa_scan(spec: ScenarioSpec, omega_values: Sequence[float] = DEFAULT_OME
     exponent is the finite-difference log-log slope at each point; the
     overall least-squares slope lands in the metadata and the summary.
     """
-    spec, space, drive = _resolved(spec, "rwa-scan")
+    spec, space, drive, approx = _resolved(spec, "rwa-scan")
     omegas = _sweep_values("omega", omega_values, positive=True)
     slow = [w for w in omegas if w < 10.0 * spec.delta_over_eta]
     if slow:
@@ -441,10 +437,10 @@ def run_rwa_scan(spec: ScenarioSpec, omega_values: Sequence[float] = DEFAULT_OME
     t_end = loop_time(spec.delta_over_eta, spec.n_loops)
     psi0 = ground_state(space)
     points = []
+    # H₂ does not depend on Ω, so the one provider of _resolved serves every point
     for omega in omegas:
         drive = replace(drive, omega=omega)
         full = hamiltonian_h1_provider(drive, space)
-        approx = hamiltonian_h2_provider(drive, space)
         cfg = _plan(spec, drive, full, t_end)
         psi_full = evolve_unitary(full, psi0, cfg)
         psi_approx = evolve_unitary(approx, psi0, cfg)

@@ -5,6 +5,7 @@ algorithm or a closed form, which the tests hold the package's results
 against.  Test modules import these from here and never from one another.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ import numpy as np
 from geomgate.core import CAVITY, annihilation, embed, fock_state, matexp
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0⟩⟨1|
+SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
 def _random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -132,3 +135,93 @@ def _branch_qubit_rho(rho_q0, etas, phis, delta, kappa, t):
         hadamard = np.kron(hadamard, np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
     rho_x = hadamard @ rho_q0 @ hadamard * np.exp(g + np.outer(alpha, alpha.conj()))
     return hadamard @ rho_x @ hadamard
+
+
+def _lambda_block_heff(g, omega_l, delta_big, delta_small):
+    """Test oracle: the exact 2×2 effective Hamiltonian of one Λ qubit's single-excitation block.
+
+    The basis is |0, n=1⟩, |1, n=0⟩, |2, n=0⟩: the upper level |2⟩ sits at 0,
+    the cavity-coupled state |0, 1⟩ at −(Δ+δ) and the drive-coupled state
+    |1, 0⟩ at −Δ, coupled to |2, 0⟩ by g and Ω_L.  With B the first two rows
+    of the two lowest eigenvectors and E their energies, the des Cloizeaux
+    effective Hamiltonian is (B·Bᵀ)^{−1/2}·B·E·Bᵀ·(B·Bᵀ)^{−1/2} on the two
+    lower states, and its off-diagonal entry is the exact coupling −η.
+
+    Measured against :func:`geomgate.model.effective_coupling`: the relative
+    error of the second-order η follows (g² + Ω_L²)/Δ², with a ratio of
+    0.945, 0.985, 0.996, 0.999 and 1.000 at Δ = 1, 3, 10, 30 and 100 for
+    g = Ω_L = 0.1, δ = 0.04, and within about 0.15/Δ of 1 for g ≠ Ω_L.  The
+    diagonal holds the AC Stark shifts, about −g²/(Δ+δ) and −Ω_L²/Δ: as large
+    as η itself, and left out of H₁ and H₂, which take the dressed lower
+    states as the qubit.
+    """
+    h = np.array(
+        [[-(delta_big + delta_small), 0.0, g], [0.0, -delta_big, omega_l], [g, omega_l, 0.0]]
+    )
+    w, v = np.linalg.eigh(h)
+    b = v[:2, :2]
+    sw, sv = np.linalg.eigh(b @ b.T)
+    inv_sqrt = (sv / np.sqrt(sw)) @ sv.T
+    return inv_sqrt @ (b * w[:2]) @ b.T @ inv_sqrt
+
+
+def _gate_target(n):
+    """Test oracle: e^{−i(π/8)(Σ_j σ_j^x)²}|0…0⟩ on n qubits, from literal Kronecker products."""
+    sx = [
+        functools.reduce(np.kron, [SX if i == j else np.eye(2) for i in range(n)])
+        for j in range(n)
+    ]
+    total = sum(sx)
+    psi0 = np.zeros(2**n, dtype=complex)
+    psi0[0] = 1.0
+    return _eigh_expm(-1j * (math.pi / 8.0) * (total @ total)) @ psi0
+
+
+def _rotating_frame_fidelities(etas, phis, delta, rates, cavity_dim, target, times):
+    """Exact-in-time F(t) = ⟨target|ρ_q(t)|target⟩ under H₂ and the Lindblad channels.
+
+    H₂(t) = P(t)⊗a + h.c. with P(t) = e^{iδt}·S and S = Σ_j η_j e^{iφ_j} σ_j^x.
+    With V(t) = e^{−iδt·n̂}, H₂(t) = V(t)·H₂(0)·V(t)†, and every channel (a at
+    rate κ, σ_j⁻ at γ₁, σ_j^z at γ₂) commutes with conjugation by V, so
+    ρ(t) = V(t)·e^{L̃t}[ρ₀]·V(t)† with L̃ the constant Lindbladian of
+    H₂(0) − δ·n̂.  V acts on the cavity alone and leaves ρ_q unchanged, so F(t)
+    follows from e^{L̃t} with no time step.  L̃ is a literal sparse
+    superoperator on the row-major vec(ρ), vec(AρB) = (A ⊗ Bᵀ)·vec(ρ), applied
+    from ρ₀ = |0…0, 0⟩⟨0…0, 0| by ``expm_multiply`` (Al-Mohy & Higham, SIAM J.
+    Sci. Comput. 33, 488 (2011)) over ``times``, which must be evenly spaced
+    from 0.  ``rates`` = (κ, γ₁, γ₂).  It shares no code with the package.
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import expm_multiply
+
+    n, d = len(etas), cavity_dim
+    q = 2**n
+
+    def on_qubit(op, j):  # op on qubit j+1 of the joint space
+        outer = sparse.identity(q // 2 ** (j + 1) * d)
+        return sparse.kron(sparse.kron(sparse.identity(2**j), op), outer)
+
+    a = sparse.kron(sparse.identity(q), sparse.diags(np.sqrt(np.arange(1.0, d)), 1))
+    couplings = np.asarray(etas) * np.exp(1j * np.asarray(phis))  # η_j e^{iφ_j}
+    s_op = sum(c * on_qubit(SX, j) for j, c in enumerate(couplings))
+    n_op = sparse.kron(sparse.identity(q), sparse.diags(np.arange(d, dtype=float)))
+    h = s_op @ a + (s_op @ a).conj().T - delta * n_op
+    eye = sparse.identity(q * d)
+    lindblad = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
+    kappa, gamma1, gamma2 = rates
+    jumps = [(kappa, a)]
+    jumps += [(rate, on_qubit(op, j)) for rate, op in ((gamma1, SM), (gamma2, SZ)) for j in range(n)]
+    for rate, op in jumps:
+        ada = op.conj().T @ op
+        lindblad = lindblad + rate * (
+            sparse.kron(op, op.conj()) - 0.5 * sparse.kron(ada, eye) - 0.5 * sparse.kron(eye, ada.T)
+        )
+    times = np.asarray(times, dtype=float)
+    np.testing.assert_allclose(times, np.linspace(0.0, times[-1], times.size), rtol=0, atol=1e-12)
+    rho0 = np.zeros((q * d) ** 2, dtype=complex)
+    rho0[0] = 1.0
+    vecs = expm_multiply(
+        lindblad.tocsr(), rho0, start=0.0, stop=times[-1], num=times.size, endpoint=True
+    )
+    rho_q = vecs.reshape(times.size, q, d, q, d).trace(axis1=2, axis2=4)
+    return np.einsum("i,kij,j->k", target.conj(), rho_q, target).real

@@ -42,14 +42,17 @@ from geomgate.model import (
     pair_coupling_rate,
     theta_of_schedule,
 )
+from geomgate.scenarios import ScenarioSpec, run_bell, run_ghz_sweep
 from oracles import (
     _branch_qubit_rho,
     _constant_provider,
     _dense_h,
     _eigh_expm,
+    _gate_target,
     _h2_literal,
     _propagator_gate_distance,
     _random_density,
+    _rotating_frame_fidelities,
     _with_frame,
     _zero_provider,
 )
@@ -468,6 +471,65 @@ class TestCoherentBranchOracle:
         assert fine == pytest.approx(coarse, rel=0.01)
 
 
+class TestRotatingFrameOracle:
+    """RK4 runs judged record by record by the exact-in-time rotating-frame Lindbladian.
+
+    Each tolerance is stated from the dt⁴ trend of earlier measurements: the
+    Bell headline's final gap read −6.04e-9 at the default dt and −1.77e-10 at
+    dt/2; the N=4, d=8 sweep point read 1.43e-7 at f_max and 8.2e-7 at its
+    worst record.  Halving dt must divide the worst record gap by at least 8,
+    half the 2⁴ of a fourth-order step.
+    """
+
+    def test_bell_headline_every_record(self, tmp_path):
+        gaps = []
+        for dt in (None, math.pi / 800):  # the default 2π/(200·δ), then half of it
+            spec = ScenarioSpec(kind="bell", dt_override=dt, output_path=str(tmp_path / "b.csv"))
+            result = run_bell(spec)["result"]
+            exact = _rotating_frame_fidelities(
+                (1.0, 1.0), (0.0, 0.0), 4.0, (1e-3,) * 3, 16, _gate_target(2), result.times
+            )
+            gaps.append(float(np.abs(result.fidelities - exact).max()))
+        assert gaps[0] < 5e-8
+        assert gaps[1] < gaps[0] / 8
+
+    def test_ghz_sweep_point_every_record(self, tmp_path):
+        spec = ScenarioSpec(kind="ghz-sweep", cavity_dim=8, output_path=str(tmp_path / "g.csv"))
+        point = run_ghz_sweep(spec, m_values=(1.0,))["points"][0]
+        result = point["result"]
+        exact = _rotating_frame_fidelities(
+            (1.0,) * 4, (0.0,) * 4, 4.0, (1e-3,) * 3, 8, _gate_target(4), result.times
+        )
+        assert abs(point["f_max"] - exact.max()) < 5e-7
+        assert np.abs(result.fidelities - exact).max() < 2e-6
+
+    def test_seeded_three_qubit_run_every_record(self):
+        # unequal η_j and random φ_j over two loops at κ = γ₁ = γ₂ = 0.05: no earlier
+        # measurement, so the bound is the N=4 sweep's, whose Σ_j η_j is larger
+        rng = np.random.default_rng(21)
+        drive = DriveParams(rng.uniform(0.7, 1.3, 3), rng.uniform(-math.pi, math.pi, 3), 4.0)
+        space = HilbertSpace(3, 8)
+        rates = (0.05, 0.05, 0.05)
+        provider = hamiltonian_h2_provider(drive, space)
+        target = _gate_target(3)
+        gaps = []
+        for k in (1, 2):
+            cfg = IntegratorConfig(
+                dt=default_dt(drive) / k,
+                t_end=2.0 * loop_time(4.0),
+                record_stride=4 * k,
+                max_frequency=provider.max_frequency,
+            )
+            initial = QuantumState.from_pure(space, ground_state(space))
+            result = evolve_lindblad(provider, DecoherenceRates(*rates), initial, target, cfg)
+            exact = _rotating_frame_fidelities(
+                drive.etas, drive.phis, 4.0, rates, 8, target, result.times
+            )
+            gaps.append(float(np.abs(result.fidelities - exact).max()))
+        assert gaps[0] < 2e-6
+        assert gaps[1] < gaps[0] / 8
+
+
 def _final_rho_from_random_start(n_qubits, cavity_dim, driven, seed=5):
     """final_rho of a quarter loop from a random complex |ψ⟩⟨ψ|, with κ, γ₁, γ₂ > 0.
 
@@ -830,7 +892,7 @@ class TestGateEquivalence:
         cfg = IntegratorConfig(dt=tau / 1600, t_end=tau, max_frequency=provider.max_frequency)
         vacuum_columns = np.eye(space.dim)[:, ::d]  # qubit basis ⊗ |0⟩_cav
         block = evolve_unitary(provider, vacuum_columns, cfg)[::d]
-        h_eff = effective_all_to_all(pair_coupling_rate(1.0, delta), phis, HilbertSpace(n, 1))
+        h_eff = effective_all_to_all(pair_coupling_rate(1.0, delta), phis)
         expected = _eigh_expm(-1j * tau * h_eff)
         overlap = np.vdot(expected, block)
         block = block * (overlap.conjugate() / abs(overlap))

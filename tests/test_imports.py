@@ -60,3 +60,20 @@ def test_matexp_is_one_object_under_every_name():
     # perfbench/tracing.py patches dynamics.matexp and model.matexp by name; a
     # missing or diverging alias breaks every traced benchmark run
     assert geomgate.dynamics.matexp is geomgate.model.matexp is geomgate.core.matexp
+
+
+def test_public_names():
+    # the package's public surface, pinned: a removal or an addition is a test edit
+    names = sorted(geomgate.__all__)
+    assert len(set(names)) == len(names)
+    assert names == [
+        "CAVITY", "DEFAULT_M_SWEEP", "DEFAULT_OMEGA_SCAN", "DecoherenceRates", "DriveParams",
+        "EvolutionResult", "HilbertSpace", "IntegratorConfig", "IntegratorError",
+        "QuantumState", "SIGMA_MINUS", "SIGMA_X", "SIGMA_Z", "ScenarioSpec", "SpecError",
+        "__version__", "annihilation", "bell_target", "default_dt", "effective_all_to_all",
+        "effective_coupling", "embed", "evolve_lindblad", "evolve_unitary", "fock_state",
+        "gate_unitary", "ghz_target", "ground_state", "hamiltonian_h1_provider",
+        "hamiltonian_h2_provider", "loop_time", "matexp", "max_fidelity", "pair_coupling_rate",
+        "quadrature_p", "quadrature_x", "run_bell", "run_ghz_sweep", "run_rwa_scan",
+        "run_trajectory", "theta_of_schedule", "trajectory",
+    ]

@@ -13,8 +13,6 @@ from geomgate.model import (
     MINUS_PLUS,
     PLUS_MINUS,
     DriveParams,
-    PhysicalParams,
-    Trajectory,
     bell_target,
     default_dt,
     effective_all_to_all,
@@ -29,7 +27,14 @@ from geomgate.model import (
     theta_of_schedule,
     trajectory,
 )
-from oracles import SX, _dense_h, _eigh_expm, _h2_literal, _propagator_gate_distance
+from oracles import (
+    SX,
+    _dense_h,
+    _eigh_expm,
+    _h2_literal,
+    _lambda_block_heff,
+    _propagator_gate_distance,
+)
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 MINUS = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
@@ -39,22 +44,21 @@ class TestEffectiveCoupling:
     def test_reference_point_at_zero_detuning(self):
         # G = 0.1, Omega_L = 0.1, Delta = 1.0 (x 2pi GHz) -> 0.01 x 2pi GHz = 2pi x 10 MHz:
         # at delta = 0 the formula reduces to g * Omega_L / Delta
-        p = PhysicalParams(g=0.1, omega_l=0.1, delta_big=1.0, delta_small=0.0)
-        assert effective_coupling(p) == pytest.approx(0.01, rel=1e-12)
+        eta = effective_coupling(g=0.1, omega_l=0.1, delta_big=1.0, delta_small=0.0)
+        assert eta == pytest.approx(0.01, rel=1e-12)
 
     def test_exact_branch_hand_evaluated(self):
-        p = PhysicalParams(g=0.1, omega_l=0.1, delta_big=1.0, delta_small=0.04)
+        eta = effective_coupling(g=0.1, omega_l=0.1, delta_big=1.0, delta_small=0.04)
         expected = 0.5 * 0.1 * 0.1 * (1.0 / 1.04 + 1.0 / 1.0)  # = 9.8077e-3
-        assert effective_coupling(p) == pytest.approx(expected, rel=1e-14)
-        assert effective_coupling(p) == pytest.approx(0.0098077, rel=1e-4)
+        assert eta == pytest.approx(expected, rel=1e-14)
+        assert eta == pytest.approx(0.0098077, rel=1e-4)
 
     def test_no_drive_no_coupling(self):
-        p = PhysicalParams(g=0.1, omega_l=0.0, delta_big=1.0)
-        assert effective_coupling(p) == 0.0
+        assert effective_coupling(g=0.1, omega_l=0.0, delta_big=1.0) == 0.0
 
     def test_rejects_nonpositive_delta_big(self):
         with pytest.raises(ValueError):
-            PhysicalParams(g=0.1, omega_l=0.1, delta_big=0.0)
+            effective_coupling(g=0.1, omega_l=0.1, delta_big=0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
     @pytest.mark.parametrize("name", ["g", "omega_l", "delta_big", "delta_small"])
@@ -62,17 +66,32 @@ class TestEffectiveCoupling:
         # NaN passes `delta_big <= 0` and silences the 10x warning; inf gives η = 0
         fields = {"g": 0.1, "omega_l": 0.1, "delta_big": 1.0, "delta_small": 0.0, name: bad}
         with pytest.raises(ValueError, match="finite"):
-            PhysicalParams(**fields)
+            effective_coupling(**fields)
 
     def test_warns_outside_dispersive_regime(self):
         with pytest.warns(UserWarning, match="dispersive"):
-            PhysicalParams(g=0.1, omega_l=0.1, delta_big=0.3, delta_small=0.1)
+            effective_coupling(g=0.1, omega_l=0.1, delta_big=0.3, delta_small=0.1)
+
+    @pytest.mark.parametrize(
+        "g,omega_l,delta_small", [(0.1, 0.1, 0.04), (0.05, 0.2, 0.1), (0.2, 0.05, -0.1)]
+    )
+    @pytest.mark.parametrize("delta_big", [3.0, 10.0, 30.0, 100.0])
+    def test_matches_exact_lambda_block_to_second_order(self, g, omega_l, delta_small, delta_big):
+        # the formula drops terms of relative order (g² + Ω_L²)/Δ²; its error's ratio to
+        # that law tends to 1, with a correction stated beforehand as at most 0.3/Δ
+        heff = _lambda_block_heff(g, omega_l, delta_big, delta_small)
+        exact = -heff[0, 1]
+        law = (g**2 + omega_l**2) / delta_big**2
+        ratio = abs(effective_coupling(g, omega_l, delta_big, delta_small) - exact) / exact / law
+        assert abs(ratio - 1.0) <= 0.3 / delta_big
+        # the AC Stark shifts of the same block, which H₁ and H₂ leave out, are as large as η
+        stark = np.diag(heff) + (delta_big + delta_small, delta_big)
+        expected = (-(g**2) / (delta_big + delta_small), -(omega_l**2) / delta_big)
+        np.testing.assert_allclose(stark, expected, rtol=0.3 / delta_big)
 
     def test_rejects_vanishing_denominator(self):
-        with pytest.warns(UserWarning):
-            p = PhysicalParams(g=0.1, omega_l=0.1, delta_big=1.0, delta_small=-1.0)
-        with pytest.raises(ValueError):
-            effective_coupling(p)
+        with pytest.warns(UserWarning), pytest.raises(ValueError):
+            effective_coupling(g=0.1, omega_l=0.1, delta_big=1.0, delta_small=-1.0)
 
 
 def _drive(n=2, delta=4.0, omega=0.0, phis=None, etas=None):
@@ -303,34 +322,30 @@ class TestFactoredProduct:
 
 class TestTrajectory:
     def test_closure_at_full_loop(self):
-        traj = trajectory(1.0, 4.0, [2.0 * math.pi / 4.0])
-        assert abs(traj.xs[0]) < 1e-12
-        assert abs(traj.ps[0]) < 1e-12
+        xs, ps = trajectory(1.0, 4.0, [2.0 * math.pi / 4.0])
+        assert abs(xs[0]) < 1e-12
+        assert abs(ps[0]) < 1e-12
 
     def test_extremum_at_half_loop(self):
-        traj = trajectory(1.0, 4.0, [math.pi / 4.0])
-        assert traj.xs[0] == pytest.approx(2.0 * math.sqrt(2.0) / 4.0, rel=1e-12)
-        assert abs(traj.ps[0]) < 1e-12
+        xs, ps = trajectory(1.0, 4.0, [math.pi / 4.0])
+        assert xs[0] == pytest.approx(2.0 * math.sqrt(2.0) / 4.0, rel=1e-12)
+        assert abs(ps[0]) < 1e-12
 
     def test_quarter_loop_point(self):
-        traj = trajectory(1.0, 4.0, [math.pi / 8.0])
-        assert traj.xs[0] == pytest.approx(math.sqrt(2.0) / 4.0, rel=1e-12)
-        assert traj.ps[0] == pytest.approx(math.sqrt(2.0) / 4.0, rel=1e-12)
+        xs, ps = trajectory(1.0, 4.0, [math.pi / 8.0])
+        assert xs[0] == pytest.approx(math.sqrt(2.0) / 4.0, rel=1e-12)
+        assert ps[0] == pytest.approx(math.sqrt(2.0) / 4.0, rel=1e-12)
 
     def test_points_lie_on_circle(self):
         eta, delta = 1.3, 5.0
-        traj = trajectory(eta, delta, np.linspace(0.0, 4.0 * math.pi / delta, 401))
+        xs, ps = trajectory(eta, delta, np.linspace(0.0, 4.0 * math.pi / delta, 401))
         r = math.sqrt(2.0) * eta / delta
-        radii = (traj.xs - r) ** 2 + traj.ps**2
+        radii = (xs - r) ** 2 + ps**2
         np.testing.assert_allclose(radii, r**2, atol=1e-12)
 
     def test_rejects_zero_delta(self):
         with pytest.raises(ValueError):
             trajectory(1.0, 0.0, [0.1])
-
-    def test_trajectory_type_rejects_ragged_series(self):
-        with pytest.raises(ValueError):
-            Trajectory(times=np.arange(3.0), xs=np.arange(2.0), ps=np.arange(3.0))
 
 
 class TestSchedule:
@@ -362,7 +377,7 @@ class TestSchedule:
 
 def _pair(lambda_: float, phi: float) -> np.ndarray:
     # the two-qubit effective model at phase difference phi
-    return effective_all_to_all(lambda_, (0.0, phi), HilbertSpace(2, 1))
+    return effective_all_to_all(lambda_, (0.0, phi))
 
 
 class TestEffectiveModels:
@@ -385,9 +400,8 @@ class TestEffectiveModels:
 
     def test_all_to_all_reduces_to_pair(self):
         lam, phis = 0.7, (0.3, 1.0)
-        space = HilbertSpace(2, 1)
         np.testing.assert_allclose(
-            effective_all_to_all(lam, phis, space),
+            effective_all_to_all(lam, phis),
             lam * math.cos(phis[0] - phis[1]) * np.kron(SX, SX),
             atol=1e-14,
         )
@@ -398,7 +412,7 @@ class TestEffectiveModels:
         x = [embed(SX, j, space) for j in (1, 2, 3)]
         expected = lam * (x[0] @ x[1] + x[0] @ x[2] + x[1] @ x[2])
         np.testing.assert_allclose(
-            effective_all_to_all(lam, (0.5, 0.5, 0.5), space), expected, atol=1e-14
+            effective_all_to_all(lam, (0.5, 0.5, 0.5)), expected, atol=1e-14
         )
 
     def test_all_to_all_phase_pattern(self):
@@ -407,7 +421,7 @@ class TestEffectiveModels:
         lam = 0.4
         expected = -lam * (embed(SX, 1, space) @ embed(SX, 3, space))
         np.testing.assert_allclose(
-            effective_all_to_all(lam, (0.0, math.pi / 2.0, math.pi), space),
+            effective_all_to_all(lam, (0.0, math.pi / 2.0, math.pi)),
             expected,
             atol=1e-12,
         )
@@ -424,17 +438,13 @@ class TestEffectiveModels:
         expected = lam * sum(
             math.cos(phis[j] - phis[k]) * (x[j] @ x[k]) for j in range(n) for k in range(j + 1, n)
         )
-        h = effective_all_to_all(lam, phis, HilbertSpace(n, 1))
+        h = effective_all_to_all(lam, phis)
         np.testing.assert_allclose(h, expected, rtol=0, atol=1e-14 * lam)
         np.testing.assert_allclose(h, h.conj().T, rtol=0, atol=1e-14 * lam)
 
     def test_all_to_all_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            effective_all_to_all(1.0, (0.0,), HilbertSpace(1, 1))
-        with pytest.raises(ValueError):
-            effective_all_to_all(1.0, (0.0, 0.0), HilbertSpace(2, 4))
-        with pytest.raises(ValueError):
-            effective_all_to_all(1.0, (0.0,), HilbertSpace(2, 1))
+            effective_all_to_all(1.0, (0.0,))
 
 
 class TestGateUnitary:

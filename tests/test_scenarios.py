@@ -1,6 +1,7 @@
 import contextlib
 import inspect
 import io
+import itertools
 import math
 import re
 import tempfile
@@ -337,11 +338,13 @@ class TestRwaScanScenario:
         # a structural guard without timing: each evolve_unitary call reads P(t) three
         # times (the shape at t=0, the first and the last midpoint) and takes two
         # matexp, U_1 and R(dt), however many steps it plans, so two Ω-points make
-        # 2·2·3 = 12 reads and 2·2·2 = 8 exponentials, and no eigh is reached
-        reads, plans, exponentials = [], [], []
+        # 2·2·3 = 12 reads and 2·2·2 = 8 exponentials, and no eigh is reached.  H₂ does
+        # not depend on Ω, so one H₂ provider serves both points, next to one H₁ each
+        reads, plans, exponentials, builds = [], [], [], []
 
         def counting(build):
             def counted(*args, **kwargs):
+                builds.append(build.__name__)
                 p_of_t = build(*args, **kwargs)
 
                 def read(t):
@@ -374,12 +377,14 @@ class TestRwaScanScenario:
         for dt in (None, 1e-4):
             reads.clear()
             exponentials.clear()
+            builds.clear()
             spec = ScenarioSpec(
                 kind="rwa-scan", cavity_dim=4, dt_override=dt, output_path=str(tmp_path / "r.csv")
             )
             run_rwa_scan(spec, omega_values=(50.0, 100.0))
-            counts.append((len(reads), len(exponentials)))
-        assert counts == [(12, 8), (12, 8)]
+            counts.append((len(reads), len(exponentials), sorted(builds)))
+        once = sorted(["hamiltonian_h2_provider"] + ["hamiltonian_h1_provider"] * 2)
+        assert counts == [(12, 8, once), (12, 8, once)]
         assert plans == [2500, 2500, 5000, 5000, 15708, 15708, 15708, 15708]
 
 
@@ -613,10 +618,21 @@ class TestCli:
         }
 
     def test_huge_integer_error_is_one_short_line(self, tmp_path, capsys):
+        # an integer inside the float range used to pass validation and be echoed digit
+        # by digit by a later check; rwa-scan also warned about Ω before failing
         out = tmp_path / "x.csv"
-        assert cli.main(["bell", "--cavity-dim", str(10**400), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and len(err) < 100, err
+        cases = [
+            *[(kind, "--n-qubits") for kind in ("bell", "ghz-sweep", "rwa-scan")],
+            *[
+                (kind, flag)
+                for kind in ("bell", "ghz-sweep", "trajectory", "rwa-scan")
+                for flag in ("--cavity-dim", "--n-loops")
+            ],
+        ]
+        for (kind, flag), n in itertools.product(cases, (10**300, 10**400)):
+            assert cli.main([kind, flag, str(n), "--out", str(out)]) == 2, (kind, flag, n)
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and len(err.encode()) < 100, (kind, flag, err)
 
     def test_header_keys_in_field_order(self, tmp_path):
         out = tmp_path / "b.csv"
