@@ -8,10 +8,11 @@ with L(A)ρ = 2AρA† - A†Aρ - ρA†A.  The sign convention i[ρ, H] equals
 standard -i[H, ρ].  Propagation is fixed-step classical 4th-order (RK4) on
 the full density matrix, and every RK4 stage writes into buffers allocated
 once per run.  Both evolvers take the drive H(t) = P(t)⊗a + P(t)†⊗a† as a
-provider t ↦ P(t), the 2^N×2^N register matrix.  A right-hand side is
-E + E† + D(ρ): E = −i·H(t)·ρ is two cavity shifts of ρ and one register
-product, no dense H(t), and D is N+2 shifted diagonals of vec(ρ), built once
-per run and summed chunk by chunk in the order of a CSR row product.
+provider t ↦ P(t), the 2^N×2^N register matrix.  The right-hand side is one
+generator, built once per run: (P, ρ) ↦ E + E† + D(ρ), where E = −i·H(t)·ρ is
+two cavity shifts of ρ and one register product, no dense H(t), and D is N+2
+shifted diagonals of vec(ρ), summed chunk by chunk in the order of a CSR row
+product.
 
 Closed-system propagation takes the midpoint rule, steps exp(−i·dt·H(t_mid)),
 but forms only the first step: every provider carries the rotating frame
@@ -158,27 +159,45 @@ class EvolutionResult:
         return float(self.fidelities[-1])
 
 
-class _Dissipator:
-    """The Lindblad dissipator as N+2 shifted diagonals of vec(ρ), built once.
+class _Lindbladian:
+    """ρ ↦ dρ/dt = E + E† + D(ρ) for the drive H = P⊗a + P†⊗a† and fixed rates.
 
-    With the layout i = q·d + n and vec(ρ)[i·dim + k] = ρ[i, k] (C order), the
-    decay anticommutators and the full dephasing channel give the main diagonal;
-    the jump σ_j⁻ρσ_j⁺ of qubit j adds γ₁·ρ[i + b, k + b] to ρ[i, k] where
-    qubit j is |0⟩ on both sides, with b = 2^(N-j)·d; the cavity jump adds
-    κ√((n+1)(n'+1))·ρ[i + 1, k + 1] below the truncation edge.  Each channel
-    keeps one complex weight array, cut to the entries its offset reaches, and
-    ``add_to`` sums them per chunk in ascending offset: a CSR row product's order.
+    E = −i·H·ρ is formed without H: a and a† act on C-ordered ρ as two
+    √n-weighted row shifts, stacked into T = [aρ; a†ρ] of shape
+    (2^(N+1), d·dim), and E = A·T with the 2^N × 2^(N+1) matrix A = −i·[P, P†].
+
+    D is N+2 shifted diagonals of vec(ρ).  With the layout i = q·d + n and
+    vec(ρ)[i·dim + k] = ρ[i, k] (C order), the decay anticommutators and the
+    full dephasing channel give the main diagonal; the jump σ_j⁻ρσ_j⁺ of qubit
+    j adds γ₁·ρ[i + b, k + b] to ρ[i, k] where qubit j is |0⟩ on both sides,
+    with b = 2^(N-j)·d; the cavity jump adds κ√((n+1)(n'+1))·ρ[i + 1, k + 1]
+    below the truncation edge.  Each channel keeps one complex weight array,
+    cut to the entries its offset reaches, summed per chunk in ascending
+    offset: a CSR row product's order.
+
+    T, the E scratch and the chunk table are built once: one object per run.
     """
 
-    # entries per chunk: the fastest of 2¹¹–2¹⁵ per add_to call at N = 2–5
+    # entries per chunk: the fastest of 2¹¹–2¹⁵ per dissipator pass at N = 2–5
     _CHUNK = 16384
 
-    def __init__(self, rates: DecoherenceRates, space: HilbertSpace) -> None:
+    def __init__(self, space: HilbertSpace, rates: DecoherenceRates) -> None:
+        q, d, dim = space.qubit_dim, space.cavity_dim, space.dim
+        # √n of row i = q·d + n at every flat index i·dim + k of ρ past row 0.  aρ is ρ moved
+        # up one row and a†ρ is ρ moved down one row, both weighted by this slice, which is 0
+        # where a move would cross into the next register block (everywhere at d = 1).
+        # Complex: no cast per product.
+        self._sqrt_n = np.repeat(np.sqrt(np.arange(dim) % d + 0j), dim)[dim:]
+        # T flattened; the row each shift leaves empty stays zero
+        self._shifts = np.zeros((2, dim * dim), dtype=complex)
+        self._stacked = self._shifts.reshape(2 * q, d * dim)
+        self._e = np.empty((dim, dim), dtype=complex)
+        self._e_rows = self._e.reshape(q, d * dim)
         # (vec(ρ) start, main-diagonal weights, sum view, jumps) per chunk; none without rates
         self._chunks: list[tuple] = []
         if not rates.any_active:
             return
-        nq, d, dim = space.n_qubits, space.cavity_dim, space.dim
+        nq = space.n_qubits
         idx = np.arange(dim)
         fock = idx % d
         # anticommutator diagonal: (κ/2)a†a + (γ₁/2)Σ_j |1⟩⟨1|_j
@@ -215,61 +234,25 @@ class _Dissipator:
             jumps = [(start + off, w, term[: w.size], acc[: w.size]) for off, w in jumps]
             self._chunks.append((start, diag, acc[: diag.size], jumps))
 
-    def add_to(self, out: np.ndarray, rho: np.ndarray) -> None:
-        """out += D(ρ), for C-ordered ``out`` and ``rho``."""
-        x, y = rho.reshape(-1), out.reshape(-1)
+    def __call__(self, p: np.ndarray, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write dρ/dt for the register matrix P into ``out``; ``rho`` and ``out`` C-ordered."""
+        dim = self._e.shape[0]
+        a_t = -1j * np.concatenate((p, p.conj().T), axis=1)
+        x = rho.reshape(-1)
+        np.multiply(self._sqrt_n, x[dim:], out=self._shifts[0, :-dim])
+        np.multiply(self._sqrt_n, x[:-dim], out=self._shifts[1, dim:])
+        np.matmul(a_t, self._stacked, out=self._e_rows)
+        # -i[H, ρ] = E + E† for Hermitian H, ρ: one product, not two, and no -i pass
+        np.conjugate(self._e.T, out=out)
+        out += self._e
+        y = out.reshape(-1)
         for start, diag, acc, jumps in self._chunks:
             np.multiply(diag, x[start : start + diag.size], out=acc)
             for lo, w, term, head in jumps:
                 np.multiply(w, x[lo : lo + w.size], out=term)
                 np.add(head, term, out=head)
             y[start : start + diag.size] += acc
-
-
-def _drive_product(space: HilbertSpace) -> Callable[..., np.ndarray]:
-    """(P, ρ, out) ↦ −i·H·ρ into ``out``, for H = P⊗a + P†⊗a†, without forming H.
-
-    a and a† act on C-ordered ρ as two √n-weighted row shifts, stacked into
-    T = [aρ; a†ρ] of shape (2^(N+1), d·dim), and −i·H·ρ = A·T with the
-    2^N × 2^(N+1) matrix A = −i·[P, P†].  T is the closure's buffer: one per run.
-    """
-    q, d, dim = space.qubit_dim, space.cavity_dim, space.dim
-    # √n of row i = q·d + n at every flat index i·dim + k of ρ past row 0.  aρ is ρ moved
-    # up one row and a†ρ is ρ moved down one row, both weighted by this slice, which is 0
-    # where a move would cross into the next register block (everywhere at d = 1).
-    # Complex: no cast per product.
-    weights = np.repeat(np.sqrt(np.arange(dim) % d + 0j), dim)[dim:]
-    # T flattened; the row each shift leaves empty stays zero
-    shifts = np.zeros((2, dim * dim), dtype=complex)
-    stacked = shifts.reshape(2 * q, d * dim)
-
-    def minus_i_h_rho(p: np.ndarray, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
-        a_t = -1j * np.concatenate((p, p.conj().T), axis=1)
-        r = rho.reshape(-1)
-        np.multiply(weights, r[dim:], out=shifts[0, :-dim])
-        np.multiply(weights, r[:-dim], out=shifts[1, dim:])
-        np.matmul(a_t, stacked, out=out.reshape(q, d * dim))
         return out
-
-    return minus_i_h_rho
-
-
-def _rhs(
-    h_of_t: HamiltonianProvider,
-    t: float,
-    rho: np.ndarray,
-    h_rho: Callable[..., np.ndarray],
-    diss: _Dissipator,
-    out: np.ndarray,
-    work: np.ndarray,
-) -> np.ndarray:
-    """Write dρ/dt at time t into ``out``, using ``work`` for E = −i·H(t)·ρ; all C-ordered."""
-    # -i[H, ρ] = E + E† for Hermitian H, ρ: one product, not two, and no -i pass
-    e = h_rho(h_of_t(t), rho, work)
-    np.conjugate(e.T, out=out)
-    out += e
-    diss.add_to(out, rho)
-    return out
 
 
 def _gram_drift(x: np.ndarray) -> float:
@@ -349,19 +332,18 @@ def evolve_lindblad(
         if op.shape != (dim, dim):
             raise ValueError(f"observable {name!r} has shape {op.shape}, expected ({dim}, {dim})")
 
-    h_rho = _drive_product(space)
-    diss = _Dissipator(rates, space)
+    rhs = _Lindbladian(space, rates)
     n_steps = cfg.n_steps
     dt = cfg.dt_effective
     stride = cfg.record_stride
 
-    # C order: the drive product and the dissipator read each stage through reshaped views
+    # C order: the right-hand side reads each stage through reshaped views
     rho = np.array(initial.rho, dtype=complex, order="C")
-    # RK4 stages, the stage state and the -iHρ scratch, reused every step
-    k1, k2, k3, k4, stage, work = (np.empty_like(rho) for _ in range(6))
+    # RK4 stages and the stage state, reused every step
+    k1, k2, k3, k4, stage = (np.empty_like(rho) for _ in range(5))
     # ρ = (ρ + ρ†)/2 once: |ψ⟩⟨ψ| of a complex ψ is Hermitian only to roundoff,
     # and the steps below keep whatever asymmetry the start has
-    rho += np.conjugate(rho.T, out=work)
+    rho += np.conjugate(rho.T, out=stage)
     rho *= 0.5
     times: list[float] = []
     fids: list[float] = []
@@ -388,13 +370,13 @@ def evolve_lindblad(
     half_dt = 0.5 * dt
     for step in range(1, n_steps + 1):
         t0 = (step - 1) * dt
-        _rhs(h_of_t, t0, rho, h_rho, diss, k1, work)
+        rhs(h_of_t(t0), rho, k1)
         np.add(rho, np.multiply(k1, half_dt, out=stage), out=stage)
-        _rhs(h_of_t, t0 + half_dt, stage, h_rho, diss, k2, work)
+        rhs(h_of_t(t0 + half_dt), stage, k2)
         np.add(rho, np.multiply(k2, half_dt, out=stage), out=stage)
-        _rhs(h_of_t, t0 + half_dt, stage, h_rho, diss, k3, work)
+        rhs(h_of_t(t0 + half_dt), stage, k3)
         np.add(rho, np.multiply(k3, dt, out=stage), out=stage)
-        _rhs(h_of_t, t0 + dt, stage, h_rho, diss, k4, work)
+        rhs(h_of_t(t0 + dt), stage, k4)
         # rho + (dt/6)·(k1 + 2·(k2 + k3) + k4), accumulated in k1
         np.add(k2, k3, out=k2)
         k2 *= 2.0

@@ -50,8 +50,11 @@ def effective_coupling(
     coupling, ``omega_l`` the classical drive strength, ``delta_big`` the
     drive detuning Δ from the upper level, ``delta_small`` the residual
     two-photon detuning δ.  At δ = 0 it reduces to g·Ω_L/Δ.  The adiabatic
-    elimination behind it is only trustworthy for Δ ≫ |δ|; it warns below a
-    10× ratio.
+    elimination behind it drops terms of relative order (g² + Ω_L²)/Δ² (the
+    exact Λ block bears this out); it warns when Δ + δ ≤ 0 or when
+    (g² + Ω_L²)/min(Δ, Δ+δ)² exceeds 1e-2.  The smaller denominator matters
+    near δ = −Δ: at g = Ω_L = 0.1, Δ = 1, δ = −0.9 η is 69% off, where
+    (g² + Ω_L²)/Δ² reads only 0.02.
 
     Raises
     ------
@@ -62,15 +65,17 @@ def effective_coupling(
     for name, value in (
         ("g", g), ("omega_l", omega_l), ("delta_big", delta_big), ("delta_small", delta_small)
     ):
-        # NaN passes `<= 0` and silences the 10x warning; an infinite Δ zeroes η
+        # NaN passes `<= 0` and silences the warning; an infinite Δ zeroes η
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if delta_big <= 0:
         raise ValueError(f"delta_big must be positive, got {delta_big}")
-    if delta_big < 10.0 * abs(delta_small):
+    near = min(delta_big, delta_big + delta_small)
+    # products, not ** or /: a float power overflows with an error and near² may underflow to 0
+    if near <= 0 or g * g + omega_l * omega_l > 1e-2 * near * near:
         warnings.warn(
-            "delta_big is less than 10x |delta_small|; the effective "
-            "coupling formula degrades outside the dispersive regime",
+            "(g^2 + omega_l^2)/min(delta_big, delta_big + delta_small)^2 exceeds 1e-2; "
+            "the effective coupling formula degrades outside the dispersive regime",
             stacklevel=2,
         )
     if delta_big + delta_small <= 0:

@@ -1,5 +1,6 @@
-"""What importing and running geomgate loads: numpy only, open-system runs included."""
+"""What importing and running geomgate loads (numpy only, open-system runs included) and writes."""
 
+import ast
 import json
 import os
 import pathlib
@@ -77,3 +78,21 @@ def test_public_names():
         "quadrature_p", "quadrature_x", "run_bell", "run_ghz_sweep", "run_rwa_scan",
         "run_trajectory", "theta_of_schedule", "trajectory",
     ]
+
+
+def _print_calls(path: pathlib.Path) -> list[int]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+    ]
+
+
+def test_only_the_cli_prints():
+    # library code reports through `logging`; the terminal belongs to the CLI, whose own
+    # calls show that the scan finds them
+    modules = sorted((SRC / "geomgate").glob("*.py"))
+    calls = {path.name: _print_calls(path) for path in modules}
+    assert calls.pop("cli.py")
+    assert {name: lines for name, lines in calls.items() if lines} == {}

@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomgate.core import CAVITY, SIGMA_MINUS, SIGMA_Z, HilbertSpace, annihilation, embed
-from geomgate.dynamics import IntegratorConfig, _drive_product
+from geomgate.dynamics import DecoherenceRates, IntegratorConfig, _Lindbladian
 from geomgate.model import (
     MINUS_PLUS,
     PLUS_MINUS,
@@ -43,18 +44,21 @@ MINUS = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
 class TestEffectiveCoupling:
     def test_reference_point_at_zero_detuning(self):
         # G = 0.1, Omega_L = 0.1, Delta = 1.0 (x 2pi GHz) -> 0.01 x 2pi GHz = 2pi x 10 MHz:
-        # at delta = 0 the formula reduces to g * Omega_L / Delta
-        eta = effective_coupling(g=0.1, omega_l=0.1, delta_big=1.0, delta_small=0.0)
+        # at delta = 0 the formula reduces to g * Omega_L / Delta.  (g² + Ω_L²)/Δ² = 0.02
+        # there, and η is 1.9% off the exact Λ block, so it warns
+        with pytest.warns(UserWarning, match="dispersive"):
+            eta = effective_coupling(g=0.1, omega_l=0.1, delta_big=1.0, delta_small=0.0)
         assert eta == pytest.approx(0.01, rel=1e-12)
 
     def test_exact_branch_hand_evaluated(self):
-        eta = effective_coupling(g=0.1, omega_l=0.1, delta_big=1.0, delta_small=0.04)
+        with pytest.warns(UserWarning, match="dispersive"):
+            eta = effective_coupling(g=0.1, omega_l=0.1, delta_big=1.0, delta_small=0.04)
         expected = 0.5 * 0.1 * 0.1 * (1.0 / 1.04 + 1.0 / 1.0)  # = 9.8077e-3
         assert eta == pytest.approx(expected, rel=1e-14)
         assert eta == pytest.approx(0.0098077, rel=1e-4)
 
     def test_no_drive_no_coupling(self):
-        assert effective_coupling(g=0.1, omega_l=0.0, delta_big=1.0) == 0.0
+        assert effective_coupling(g=0.05, omega_l=0.0, delta_big=1.0) == 0.0
 
     def test_rejects_nonpositive_delta_big(self):
         with pytest.raises(ValueError):
@@ -63,7 +67,7 @@ class TestEffectiveCoupling:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
     @pytest.mark.parametrize("name", ["g", "omega_l", "delta_big", "delta_small"])
     def test_rejects_non_finite_fields(self, name, bad):
-        # NaN passes `delta_big <= 0` and silences the 10x warning; inf gives η = 0
+        # NaN passes `delta_big <= 0` and silences the warning; inf gives η = 0
         fields = {"g": 0.1, "omega_l": 0.1, "delta_big": 1.0, "delta_small": 0.0, name: bad}
         with pytest.raises(ValueError, match="finite"):
             effective_coupling(**fields)
@@ -92,6 +96,30 @@ class TestEffectiveCoupling:
     def test_rejects_vanishing_denominator(self):
         with pytest.warns(UserWarning), pytest.raises(ValueError):
             effective_coupling(g=0.1, omega_l=0.1, delta_big=1.0, delta_small=-1.0)
+
+    @pytest.mark.parametrize(
+        "g,omega_l,delta_big,delta_small,warns",
+        [
+            (0.5, 0.5, 1.0, 0.0, True),
+            (0.3, 0.3, 1.0, 0.0, True),
+            (1.0, 1.0, 20.0, 3.0, False),
+            (0.1, 0.1, 1.0, -0.9, True),
+            (0.3, 0.05, 1.0, -0.8, True),
+        ],
+    )
+    def test_warning_tracks_the_exact_lambda_block(self, g, omega_l, delta_big, delta_small, warns):
+        # the warning reads q = (g² + Ω_L²)/min(Δ, Δ+δ)² against 1e-2.  Measured beforehand,
+        # q bounded the relative error of η at 1.0× over 15 points, so 1.05× is the stated
+        # tolerance.  (g² + Ω_L²)/Δ² alone reads 0.02 and 0.093 in the last two rows, where
+        # η is 69% and 96% off
+        q = (g**2 + omega_l**2) / min(delta_big, delta_big + delta_small) ** 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            eta = effective_coupling(g, omega_l, delta_big, delta_small)
+        dispersive = [w.category is UserWarning and "dispersive" in str(w.message) for w in caught]
+        assert dispersive == [True] * warns
+        exact = -_lambda_block_heff(g, omega_l, delta_big, delta_small)[0, 1]
+        assert abs(eta - exact) / abs(exact) <= 1.05 * q
 
 
 def _drive(n=2, delta=4.0, omega=0.0, phis=None, etas=None):
@@ -292,7 +320,11 @@ class TestQubitSum:
 
 
 class TestFactoredProduct:
-    """The Lindblad drive product of P(t) must equal -i·H(t)·ρ with the literal dense H(t)."""
+    """The Lindblad kernel without rates must equal -i[H(t), ρ] with the literal dense H(t).
+
+    The kernel forms E = -i·H(t)·ρ without H and outputs only E + E†, so the
+    commutator is what it can be judged on.
+    """
 
     @pytest.mark.parametrize("cavity_dim", [2, 5, 8])
     @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
@@ -309,15 +341,16 @@ class TestFactoredProduct:
         rho = a @ a.conj().T
         rho /= np.trace(rho)
         out = np.empty_like(rho)
-        h_rho = _drive_product(space)
+        rhs = _Lindbladian(space, DecoherenceRates())
         for provider, literal in (
             (hamiltonian_h2_provider, _h2_literal),
             (hamiltonian_h1_provider, _h1_literal),
         ):
             p = provider(drive, space)
             for t in (0.0, 0.37, 1.9, 11.3):
-                want = -1j * literal(drive, space, t) @ rho
-                np.testing.assert_allclose(h_rho(p(t), rho, out), want, rtol=0, atol=1e-13)
+                h = literal(drive, space, t)
+                want = -1j * (h @ rho - rho @ h)
+                np.testing.assert_allclose(rhs(p(t), rho, out), want, rtol=0, atol=1e-13)
 
 
 class TestTrajectory:
