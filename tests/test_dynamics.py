@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,8 @@ class TestDissipatorAgainstDenseReference:
             # shifted channels end partway through one
             (4, 9, DecoherenceRates(kappa=0.3, gamma1=0.2, gamma2=0.1)),
             (3, 20, DecoherenceRates(kappa=0.4, gamma1=0.6)),
+            # 5 of the 41 channel slices are all zero and left out of the chunk table
+            (4, 16, DecoherenceRates(kappa=0.3, gamma1=0.2, gamma2=0.1)),
         ],
     )
     def test_structured_equals_dense(self, n_qubits, cavity_dim, rates):
@@ -561,12 +564,40 @@ class TestExactHermiticity:
         class Planted(_Lindbladian):
             def __init__(self, space, rates):
                 super().__init__(space, rates)
-                main = self._chunks[0][1]
+                start, entries = self._chunks[0]
+                lo, main, _ = entries[0]
+                assert lo == start == 0  # the main diagonal: offset 0, so its input starts at 0
                 main[1] *= 1.0 + 1e-9  # the weight of ρ[0, 1], not of ρ[1, 0]
 
         monkeypatch.setattr(dynamics, "_Lindbladian", Planted)
         rho = _final_rho_from_random_start(2, 6, driven=True)
         assert not np.array_equal(rho, rho.conj().T)
+
+
+class TestWorkingSet:
+    """One evolve_lindblad run holds at most 15 dim×dim complex arrays at its peak.
+
+    ρ, three RK4 scratch arrays, T (two), the E scratch, √n (about one) and
+    N+2 channel weights (about N+1 after their cuts), with room for the copy
+    a record's eigvalsh takes: 14.1 at N=4, d=8 and 13.4 at N=2, d=16.
+    """
+
+    @pytest.mark.parametrize("n_qubits,cavity_dim", [(4, 8), (2, 16)])
+    def test_tracemalloc_peak(self, n_qubits, cavity_dim):
+        space = HilbertSpace(n_qubits, cavity_dim)
+        drive = DriveParams(etas=np.ones(n_qubits), phis=np.zeros(n_qubits), delta=4.0)
+        provider = hamiltonian_h2_provider(drive, space)
+        initial = QuantumState.from_pure(space, ground_state(space))
+        tau = loop_time(4.0)
+        cfg = IntegratorConfig(dt=tau / 200, t_end=tau / 20)
+        rates = DecoherenceRates(kappa=0.1, gamma1=0.01, gamma2=0.01)
+        tracemalloc.start()
+        try:
+            evolve_lindblad(provider, rates, initial, ghz_target(n_qubits), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15 * space.dim**2 * np.dtype(complex).itemsize
 
 
 class TestEvolveUnitary:
@@ -816,6 +847,11 @@ class TestMaxFidelity:
         with pytest.raises(ValueError):
             max_fidelity(self._result([]))
 
+    def test_run_without_target_rejected(self):
+        # a run without a target records NaN fidelities; argmax would pick index 0
+        with pytest.raises(ValueError, match="no fidelity"):
+            max_fidelity(self._result([math.nan] * 3))
+
 
 class TestEvolutionResultInvariants:
     def test_rejects_ragged_series(self):
@@ -828,13 +864,15 @@ class TestEvolutionResultInvariants:
             )
 
     def test_rejects_trace_drift(self):
-        with pytest.raises(ValueError, match="trace"):
-            EvolutionResult(
-                times=np.arange(2.0),
-                fidelities=np.ones(2),
-                traces=np.array([1.0, 1.1]),
-                purities=np.ones(2),
-            )
+        # NaN fails every comparison, so a `> 1e-6` test alone lets it through
+        for bad in (1.1, math.nan):
+            with pytest.raises(ValueError, match="trace"):
+                EvolutionResult(
+                    times=np.arange(2.0),
+                    fidelities=np.ones(2),
+                    traces=np.array([1.0, bad]),
+                    purities=np.ones(2),
+                )
 
 
 class TestGateEquivalence:
