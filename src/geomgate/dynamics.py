@@ -8,24 +8,31 @@ with L(A)ρ = 2AρA† - A†Aρ - ρA†A.  The sign convention i[ρ, H] equals
 standard -i[H, ρ].  Propagation is fixed-step classical 4th-order (RK4) on
 the full density matrix, and each RK4 step reuses three arrays allocated
 once per run.  Both evolvers take the drive H(t) = P(t)⊗a + P(t)†⊗a† as a
-provider t ↦ P(t), the 2^N×2^N register matrix.  The right-hand side is one
-generator, built once per run: (P, ρ) ↦ E + E† + D(ρ), where E = −i·H(t)·ρ is
-two cavity shifts of ρ and one register product, no dense H(t), and D is N+2
-shifted diagonals of vec(ρ), added to the result chunk by chunk.
+provider t ↦ P(t), the 2^N×2^N register matrix, and both read it through the
+rotating frame (δ, G) that every provider carries, under which
+H(t+s) = V(s)·H(t)·V(s)†, with V(s) = e^{−isG} ⊗ e^{−iδs·n̂}; each checks the
+frame against one late call of the provider.
+
+Open-system propagation takes G = 0, so P(t) = e^{iδt}·P(0).  The right-hand
+side is one generator, built once per run and bound once to each of its two
+(input, output) buffer pairs: ρ ↦ E + E† + D(ρ), where E = −i·H(t)·ρ is two
+cavity shifts of ρ and one product with the register block −i·[P(t), P(t)†],
+written from P(0) once per stage time, no dense H(t), and D is N+2 shifted
+diagonals of vec(ρ), added to the result chunk by chunk.
 
 Closed-system propagation takes the midpoint rule, steps exp(−i·dt·H(t_mid)),
-but forms only the first step: every provider carries the rotating frame
-(δ, G) under which H(t+s) = V(s)·H(t)·V(s)†, with V(s) = e^{−isG} ⊗ e^{−iδs·n̂},
-so the product of all N steps is V(N·dt)·(V(dt)†·U_1)^N, taken by repeated
-squaring.  U_1 and R(dt) = e^{−i·dt·G} come from :func:`~geomgate.core.matexp`,
-the package's one exponential: a truncated Taylor series sized from dt·‖H‖₁
-on the dense H(dt/2), with no eigendecomposition.
+but forms only the first step: under the frame the product of all N steps is
+V(N·dt)·(V(dt)†·U_1)^N, taken by repeated squaring.  U_1 and
+R(dt) = e^{−i·dt·G} come from :func:`~geomgate.core.matexp`, the package's
+one exponential: a truncated Taylor series sized from dt·‖H‖₁ on the dense
+H(dt/2), with no eigendecomposition.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -164,7 +171,10 @@ class _Lindbladian:
 
     E = −i·H·ρ is formed without H: a and a† act on C-ordered ρ as two
     √n-weighted row shifts, stacked into T = [aρ; a†ρ] of shape
-    (2^(N+1), d·dim), and E = A·T with the 2^N × 2^(N+1) matrix A = −i·[P, P†].
+    (2^(N+1), d·dim), and E = A·T with the 2^N × 2^(N+1) drive block
+    A = −i·[P, P†].  The drive is P(t) = e^{iδt}·S (:meth:`drive`), so
+    :meth:`at` writes A for a stage time t as e^{iδt}·(−i·S) and
+    e^{−iδt}·(−i·S†), two scalar multiplies; without a drive, A = 0.
 
     D is N+2 shifted diagonals of vec(ρ).  With the layout i = q·d + n and
     vec(ρ)[i·dim + k] = ρ[i, k] (C order), the decay anticommutators and the
@@ -177,7 +187,8 @@ class _Lindbladian:
     ``term`` scratch, in ascending offset; the weights are symmetric,
     w[i, k] = w[k, i], so (i, k) and (k, i) get equal sums.
 
-    T, the E scratch and the chunk table are built once: one object per run.
+    T, the E scratch, A and the chunk table are built once: one object per
+    run.  :meth:`bind` builds every view one (input, output) pair needs, once.
     """
 
     # entries per chunk: as fast per dissipator pass as 2¹⁴ at N = 4, d = 8 and 24
@@ -195,6 +206,9 @@ class _Lindbladian:
         self._stacked = self._shifts.reshape(2 * q, d * dim)
         self._e = np.empty((dim, dim), dtype=complex)
         self._e_rows = self._e.reshape(q, d * dim)
+        self._a = np.zeros((q, 2 * q), dtype=complex)
+        self._a_p, self._a_p_adj = self._a[:, :q], self._a[:, q:]
+        self.drive(np.zeros((q, q), dtype=complex), 0.0)
         # per chunk: (vec(ρ) start, [(input start, weights, term view)]); none without rates
         self._chunks: list[tuple[int, list[tuple[int, np.ndarray, np.ndarray]]]] = []
         if not rates.any_active:
@@ -232,28 +246,93 @@ class _Lindbladian:
             entries = [(start + off, w[start : start + self._CHUNK]) for off, w in weights]
             self._chunks.append((start, [(lo, w, term[: w.size]) for lo, w in entries if w.any()]))
 
-    def __call__(self, p: np.ndarray, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write dρ/dt for the register matrix P into ``out``; ``rho`` and ``out`` C-ordered."""
+    def drive(self, s: np.ndarray, delta: float) -> None:
+        """Take the drive P(t) = e^{iδt}·S, with S the q×q register matrix P(0)."""
+        self._iw = 1j * delta
+        self._ms = -1j * s
+        self._ms_adj = -1j * s.conj().T
+
+    def at(self, t: float) -> None:
+        """Write the drive block A = −i·[P(t), P(t)†] for the stage time ``t``.
+
+        The phase is cmath.exp(iδ·t), as :func:`geomgate.model._drive_provider`
+        forms it, and e^{iδt}·(−i·S) rounds like −i·(e^{iδt}·S), since −i only
+        swaps and negates parts: for an H₂ provider, A equals the block formed
+        from its P(t) value for value (the sign of a zero may differ).
+        """
+        phase = cmath.exp(self._iw * t)
+        np.multiply(phase, self._ms, out=self._a_p)
+        np.multiply(phase.conjugate(), self._ms_adj, out=self._a_p_adj)
+
+    def bind(self, rho: np.ndarray, out: np.ndarray) -> Callable[[], np.ndarray]:
+        """The right-hand side from ``rho`` into ``out``, two C-ordered dim×dim buffers.
+
+        Every view it reads is built here, once: the returned function takes
+        no argument, reads ``rho`` as it is at the call under the block of the
+        latest :meth:`at`, writes dρ/dt into ``out`` and returns ``out``.
+        """
+        if not (rho.flags.c_contiguous and out.flags.c_contiguous):
+            raise ValueError("the right-hand side binds C-ordered buffers only")
         dim = self._e.shape[0]
-        a_t = -1j * np.concatenate((p, p.conj().T), axis=1)
-        x = rho.reshape(-1)
-        np.multiply(self._sqrt_n, x[dim:], out=self._shifts[0, :-dim])
-        np.multiply(self._sqrt_n, x[:-dim], out=self._shifts[1, dim:])
-        np.matmul(a_t, self._stacked, out=self._e_rows)
-        # -i[H, ρ] = E + E† for Hermitian H, ρ: one product, not two, and no -i pass
-        np.conjugate(self._e.T, out=out)
-        out += self._e
-        y = out.reshape(-1)
-        for start, entries in self._chunks:
-            for lo, w, term in entries:
-                y[start : start + w.size] += np.multiply(w, x[lo : lo + w.size], out=term)
-        return out
+        sqrt_n, a, stacked, e, e_rows, e_t = (
+            self._sqrt_n, self._a, self._stacked, self._e, self._e_rows, self._e.T
+        )
+        x, y = rho.reshape(-1), out.reshape(-1)
+        # aρ into T's first half, a†ρ into its second (see __init__)
+        up_out, up_in = self._shifts[0, :-dim], x[dim:]
+        down_out, down_in = self._shifts[1, dim:], x[:-dim]
+        # (out slice, weights, in slice, term) per channel slice, in the chunk table's order
+        terms = [
+            (y[start : start + w.size], w, x[lo : lo + w.size], term)
+            for start, entries in self._chunks
+            for lo, w, term in entries
+        ]
+
+        def rhs() -> np.ndarray:
+            np.multiply(sqrt_n, up_in, out=up_out)
+            np.multiply(sqrt_n, down_in, out=down_out)
+            np.matmul(a, stacked, out=e_rows)
+            # -i[H, ρ] = E + E† for Hermitian H, ρ: one product, not two, and no -i pass
+            np.conjugate(e_t, out=out)
+            np.add(out, e, out=out)
+            for ys, w, xs, term in terms:
+                ys += np.multiply(w, xs, out=term)
+            return out
+
+        return rhs
 
 
 def _gram_drift(x: np.ndarray) -> float:
     """max|X†X − I| over the columns of a state (dim,) or a block (dim, k)."""
     cols = x.reshape(x.shape[0], -1)
     return float(np.abs(cols.conj().T @ cols - np.eye(cols.shape[1])).max())
+
+
+def _frame(h_of_t: HamiltonianProvider, q: int) -> tuple[float, np.ndarray]:
+    """The provider's rotating frame (δ, G), refused unless finite with G of shape (q, q)."""
+    frame = getattr(h_of_t, "frame", None)
+    if frame is None:
+        raise ValueError("provider carries no rotating frame `frame` = (delta, G)")
+    delta, g = float(frame[0]), np.asarray(frame[1], dtype=complex)
+    if g.shape != (q, q) or not (math.isfinite(delta) and np.all(np.isfinite(g))):
+        raise ValueError(f"frame must be a finite (delta, G) with G of shape ({q}, {q})")
+    return delta, g
+
+
+def _finite_drive(h_of_t: HamiltonianProvider, t: float, where: str) -> np.ndarray:
+    """P(t), refused with an :class:`IntegratorError` if any entry is not finite."""
+    p = h_of_t(t)
+    if not np.all(np.isfinite(p)):
+        raise IntegratorError(f"non-finite Hamiltonian at {where} t={t:.6g}")
+    return p
+
+
+def _check_frame(p: np.ndarray, predicted: np.ndarray, n_steps: int, where: str) -> None:
+    """Refuse a P off its predicted value by more than (1e-9 + 16·N·ε)·max(1, max|P|)."""
+    departure = float(np.abs(p - predicted).max())
+    bound = (1e-9 + 16 * n_steps * np.finfo(float).eps) * max(1.0, float(np.abs(p).max()))
+    if not departure <= bound:
+        raise ValueError(f"P(t) departs from the provider's frame by {departure:.3e} at {where}")
 
 
 def evolve_lindblad(
@@ -271,8 +350,13 @@ def evolve_lindblad(
     h_of_t:
         Drive provider, a callable t → P(t) returning the 2^N×2^N register
         matrix of H(t) = P(t)⊗a + P(t)†⊗a† (the providers of
-        :mod:`geomgate.model`).  It is called once at t=0 to check the shape,
-        then once per right-hand side, four times per step.
+        :mod:`geomgate.model`).  Like :func:`evolve_unitary`, it reads the
+        provider's rotating frame ``frame`` = (δ, G), and it takes only
+        G = 0, the H₂ drive P(t) = e^{iδt}·S.  The provider is called twice:
+        at t=0, where S = P(0) fixes the shape and the drive of every RK4
+        stage, and at t_end, where P must match e^{iδ·t_end}·S to within
+        :func:`evolve_unitary`'s bound.  ``cfg`` is checked again at
+        ``max_frequency`` = |δ|, so dt resolves the drive.
     rates:
         Lindblad rates; all-zero rates reduce the equation to the von Neumann
         equation.
@@ -287,7 +371,7 @@ def evolve_lindblad(
         and the final step.
     observables:
         Optional named Hermitian operators on the joint space; their real
-        expectation values are recorded alongside the fidelity.
+        expectation values Re Tr(Oρ) are recorded alongside the fidelity.
 
     Every 10th record also stores the minimum eigenvalue of ρ in
     ``positivity_checks``; the full ``eigvalsh`` costs more than the rest of a
@@ -295,7 +379,9 @@ def evolve_lindblad(
 
     RK4 keeps three dim×dim scratch arrays: ``acc`` takes k1, ``k`` each later
     stage and ``stage`` the next stage state, formed from k before w·k (w = 2,
-    2, 1) is added to acc; then ρ += (dt/6)·acc.
+    2, 1) is added to acc; then ρ += (dt/6)·acc.  The right-hand side is bound
+    once to (ρ, acc) and once to (stage, k), and its drive block is written
+    once per distinct stage time: t0, t0 + dt/2 (k2 and k3) and t0 + dt.
 
     ρ stays exactly Hermitian, bit for bit, with no re-symmetrisation per
     step.  The initial ρ is replaced by (ρ + ρ†)/2 once, which is exactly
@@ -310,16 +396,19 @@ def evolve_lindblad(
     Raises
     ------
     ValueError
-        If P(t) is not 2^N×2^N, or the target or an observable has the wrong shape.
+        If P(t) is not 2^N×2^N, the target or an observable has the wrong
+        shape, the provider carries no finite ``frame`` or one with G ≠ 0, dt
+        undersamples |δ|, or P(t_end) departs from the frame.
     IntegratorError
-        On trace drift beyond 1e-6 or non-finite values (with step context).
+        On a non-finite P(0) or P(t_end), trace drift beyond 1e-6 or
+        non-finite values (with step context).
     """
     space = initial.space
     dim = space.dim
     q = space.qubit_dim
-    shape = np.shape(h_of_t(0.0))
-    if shape != (q, q):
-        raise ValueError(f"Hamiltonian provider returns shape {shape}, expected ({q}, {q})")
+    s = np.asarray(h_of_t(0.0), dtype=complex)
+    if s.shape != (q, q):
+        raise ValueError(f"Hamiltonian provider returns shape {s.shape}, expected ({q}, {q})")
     if target is not None:
         target = np.asarray(target, dtype=complex).reshape(-1)
         if target.size != q:
@@ -331,12 +420,27 @@ def evolve_lindblad(
     for name, op in obs_items:
         if op.shape != (dim, dim):
             raise ValueError(f"observable {name!r} has shape {op.shape}, expected ({dim}, {dim})")
+    if not np.all(np.isfinite(s)):
+        raise IntegratorError("non-finite Hamiltonian at t=0")
+    delta, g = _frame(h_of_t, q)
+    if np.any(g != 0):
+        raise ValueError("the frame must have G = 0, so that P(t) = e^{i delta t}·P(0)")
+    replace(cfg, max_frequency=abs(delta))  # the sampling check of IntegratorConfig, at |δ|
 
-    rhs = _Lindbladian(space, rates)
     n_steps = cfg.n_steps
     dt = cfg.dt_effective
     stride = cfg.record_stride
+    t_end = n_steps * dt
+    _check_frame(
+        _finite_drive(h_of_t, t_end, "the end"),
+        cmath.exp(1j * delta * t_end) * s,
+        n_steps,
+        f"the end t={t_end:.6g}",
+    )
 
+    # built before the state: its weight tables pass through temporaries of several dim²
+    lindbladian = _Lindbladian(space, rates)
+    lindbladian.drive(s, delta)
     # C order: the right-hand side reads each stage through reshaped views
     rho = np.array(initial.rho, dtype=complex, order="C")
     # RK4 scratch, reused every step: the weighted stage sum, the latest stage and the stage state
@@ -345,6 +449,9 @@ def evolve_lindblad(
     # and the steps below keep whatever asymmetry the start has
     rho += np.conjugate(rho.T, out=stage)
     rho *= 0.5
+    at = lindbladian.at
+    rhs_rho = lindbladian.bind(rho, acc)
+    rhs_stage = lindbladian.bind(stage, k)
     times: list[float] = []
     fids: list[float] = []
     traces: list[float] = []
@@ -352,9 +459,9 @@ def evolve_lindblad(
     obs_records: dict[str, list[float]] = {name: [] for name, _ in obs_items}
     positivity: list[tuple[float, float]] = []
 
-    def record(t: float) -> None:
+    def record(t: float, tr: complex) -> None:
         times.append(t)
-        traces.append(float(np.trace(rho).real))
+        traces.append(float(tr.real))
         purities.append(float(np.vdot(rho, rho).real))
         if target is not None:
             reduced = _reduced_qubit_rho(rho, space.n_qubits, space.cavity_dim)
@@ -362,23 +469,27 @@ def evolve_lindblad(
         else:
             fids.append(math.nan)
         for name, op in obs_items:
-            obs_records[name].append(float(np.einsum("ij,ji->", rho, op).real))
+            # Re Σ conj(O[i, k])·ρ[i, k] = Re Tr(O†·ρ) = Re Tr(O·ρ), since ρ is Hermitian
+            obs_records[name].append(float(np.vdot(op, rho).real))
         if (len(times) - 1) % 10 == 0:
             positivity.append((t, float(np.linalg.eigvalsh(rho)[0])))
 
-    record(0.0)
+    record(0.0, np.trace(rho))
     half_dt = 0.5 * dt
     for step in range(1, n_steps + 1):
         t0 = (step - 1) * dt
         # ρ + (dt/6)·(k1 + 2·k2 + 2·k3 + k4), summed in acc
-        rhs(h_of_t(t0), rho, acc)
+        at(t0)
+        rhs_rho()
         np.add(rho, np.multiply(acc, half_dt, out=stage), out=stage)
+        at(t0 + half_dt)
         for h in (half_dt, dt):
-            rhs(h_of_t(t0 + half_dt), stage, k)
+            rhs_stage()
             np.add(rho, np.multiply(k, h, out=stage), out=stage)
             k *= 2.0
             acc += k
-        rhs(h_of_t(t0 + dt), stage, k)
+        at(t0 + dt)
+        rhs_stage()
         acc += k
         acc *= dt / 6.0
         rho += acc
@@ -393,7 +504,7 @@ def evolve_lindblad(
                 f"(t={step * dt:.6g}); reduce dt or cavity load"
             )
         if step % stride == 0 or step == n_steps:
-            record(step * dt)
+            record(step * dt, tr)
 
     return EvolutionResult(
         times=np.asarray(times),
@@ -492,32 +603,17 @@ def evolve_unitary(
     if len(shape) != 2 or shape[0] != shape[1] or dim % shape[0]:
         raise ValueError(f"provider returns shape {shape}, not (q, q) with q dividing {dim}")
     q, d = shape[0], dim // shape[0]
-    frame = getattr(h_of_t, "frame", None)
-    if frame is None:
-        raise ValueError("provider carries no rotating frame `frame` = (delta, G)")
-    delta, g = float(frame[0]), np.asarray(frame[1], dtype=complex)
-    if g.shape != (q, q) or not (math.isfinite(delta) and np.all(np.isfinite(g))):
-        raise ValueError(f"frame must be a finite (delta, G) with G of shape ({q}, {q})")
+    delta, g = _frame(h_of_t, q)
     n_steps = cfg.n_steps
     dt = cfg.dt_effective
-    p_first = h_of_t(0.5 * dt)
-    if not np.all(np.isfinite(p_first)):
-        raise IntegratorError(f"non-finite Hamiltonian at the first midpoint t={0.5 * dt:.6g}")
+    p_first = _finite_drive(h_of_t, 0.5 * dt, "the first midpoint")
     r = matexp(-1j * dt * g)
 
     t_last = (n_steps - 0.5) * dt
-    p_last = h_of_t(t_last)
-    if not np.all(np.isfinite(p_last)):
-        raise IntegratorError(f"non-finite Hamiltonian at the last midpoint t={t_last:.6g}")
+    p_last = _finite_drive(h_of_t, t_last, "the last midpoint")
     r_last = np.linalg.matrix_power(r, n_steps - 1)
     predicted = np.exp(1j * delta * (n_steps - 1) * dt) * (r_last @ p_first @ r_last.conj().T)
-    departure = float(np.abs(p_last - predicted).max())
-    bound = (1e-9 + 16 * n_steps * np.finfo(float).eps) * max(1.0, float(np.abs(p_last).max()))
-    if not departure <= bound:
-        raise ValueError(
-            f"P(t) departs from the provider's frame by {departure:.3e} at the last "
-            f"midpoint t={t_last:.6g}"
-        )
+    _check_frame(p_last, predicted, n_steps, f"the last midpoint t={t_last:.6g}")
 
     # V(dt)† on the Fock levels: e^{iδ·dt·n}
     back = np.exp(1j * delta * dt * np.arange(d))

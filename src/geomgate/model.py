@@ -140,7 +140,8 @@ def _drive_provider(
 
     so H(t+s) = V(s)·H(t)·V(s)† with V(s) = R(s) ⊗ e^{−iδs·n̂}, because
     e^{−iθn̂}·a·e^{iθn̂} = e^{iθ}·a holds exactly for the truncated a.
-    :func:`~geomgate.dynamics.evolve_unitary` relies on it and checks it.
+    :func:`~geomgate.dynamics.evolve_unitary` and, for G = 0,
+    :func:`~geomgate.dynamics.evolve_lindblad` rely on it and check it.
 
     The callable carries ``max_frequency``, the largest |ω_k|, for
     integrator-step validation, and ``frame``, as attributes, so they survive

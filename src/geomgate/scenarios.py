@@ -297,7 +297,7 @@ def _write_csv(
         fh.write(",".join(header) + "\n")
         for row in rows:
             # repr of a Python float is the shortest round-trip form: exact re-parse
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(map(repr, map(float, row))) + "\n")
     return str(out)
 
 

@@ -80,6 +80,14 @@ def _random_register(q):
     return RNG.normal(size=(q, q)) + 1j * RNG.normal(size=(q, q))
 
 
+def _bound_rhs(space, rates, p, rho):
+    """dρ/dt of ``_Lindbladian``'s bound right-hand side at the constant drive P = ``p``."""
+    lindbladian = _Lindbladian(space, rates)
+    lindbladian.drive(p, 0.0)
+    lindbladian.at(0.0)
+    return lindbladian.bind(rho, np.empty_like(rho))()
+
+
 def _dense_lindblad_rhs(h, rho, rates, space):
     """Literal superoperator-style reference: i[rho,H] + sum of 2ArA+ - A+Ar - rA+A terms."""
     out = 1j * (rho @ h - h @ rho) if h is not None else np.zeros_like(rho)
@@ -170,7 +178,7 @@ class TestDissipatorAgainstDenseReference:
         space = HilbertSpace(n_qubits, cavity_dim)
         rho = _random_density(space.dim, RNG)
         p = _random_register(space.qubit_dim)
-        got = _Lindbladian(space, rates)(p, rho, np.empty_like(rho))
+        got = _bound_rhs(space, rates, p, rho)
         want = _dense_lindblad_rhs(_dense_h(p, cavity_dim), rho, rates, space)
         np.testing.assert_allclose(got, want, atol=1e-13)
 
@@ -179,8 +187,82 @@ class TestDissipatorAgainstDenseReference:
         rho = _random_density(8, RNG)
         p = _random_register(2)
         h = _dense_h(p, 4)
-        got = _Lindbladian(space, DecoherenceRates())(p, rho, np.empty_like(rho))
+        got = _bound_rhs(space, DecoherenceRates(), p, rho)
         np.testing.assert_allclose(got, 1j * (rho @ h - h @ rho), atol=1e-13)
+
+
+class TestBoundRightHandSide:
+    """The right-hand side is bound once per (input, output) pair and reads the drive's frame."""
+
+    def test_provider_calls_do_not_grow_with_the_steps(self):
+        space = HilbertSpace(2, 4)
+        provider = hamiltonian_h2_provider(DriveParams((1.0, 0.8), (0.3, -0.5), 4.0), space)
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return provider(t)
+
+        counted.frame = provider.frame
+        counts = []
+        for n_steps in (10, 1000):
+            calls.clear()
+            evolve_lindblad(
+                counted,
+                DecoherenceRates(kappa=0.1),
+                QuantumState.from_pure(space, ground_state(space)),
+                None,
+                IntegratorConfig(dt=0.1 / n_steps, t_end=0.1, record_stride=n_steps),
+            )
+            counts.append(len(calls))
+        # P(0) for the shape and the drive, P(t_end) for the frame check
+        assert counts == [2, 2]
+
+    def test_drive_block_equals_the_providers_product(self):
+        # A = −i·[P(t), P(t)†] from e^{iδt} and P(0), against the same block from P(t)
+        space = HilbertSpace(3, 2)
+        provider = hamiltonian_h2_provider(_seeded_drive(3, 0.0, seed=4), space)
+        lindbladian = _Lindbladian(space, DecoherenceRates())
+        lindbladian.drive(provider(0.0), provider.frame[0])
+        for t in (0.0, 0.37, 1.9, 11.3, 1234.5):
+            lindbladian.at(t)
+            p = provider(t)
+            assert np.array_equal(lindbladian._a, -1j * np.concatenate((p, p.conj().T), axis=1))
+
+    def test_bound_calls_allocate_no_dim2_array(self):
+        space = HilbertSpace(4, 8)
+        lindbladian = _Lindbladian(space, DecoherenceRates(kappa=0.1, gamma1=0.01, gamma2=0.01))
+        lindbladian.drive(_random_register(space.qubit_dim), 4.0)
+        rho = _random_density(space.dim, RNG)
+        rhs = lindbladian.bind(rho, np.empty_like(rho))
+        tracemalloc.start()
+        try:
+            for i in range(100):
+                lindbladian.at(0.01 * i)
+                rhs()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < space.dim**2 * np.dtype(complex).itemsize
+
+    def test_two_bindings_agree_and_read_their_input_in_place(self):
+        space = HilbertSpace(3, 6)
+        lindbladian = _Lindbladian(space, DecoherenceRates(kappa=0.3, gamma1=0.2, gamma2=0.1))
+        lindbladian.drive(_random_register(space.qubit_dim), 4.0)
+        lindbladian.at(0.3)
+        rho = _random_density(space.dim, RNG)
+        stage = rho.copy()
+        first = lindbladian.bind(rho, np.empty_like(rho))
+        second = lindbladian.bind(stage, np.empty_like(rho))
+        assert np.array_equal(first(), second())
+        # the next call reads an in-place update of its input, as a fresh binding does
+        rho[:] = _random_density(space.dim, RNG)
+        stage[:] = rho
+        fresh = lindbladian.bind(rho.copy(), np.empty_like(rho))()
+        assert np.array_equal(first(), fresh)
+        assert np.array_equal(second(), fresh)
+        with pytest.raises(ValueError, match="C-ordered"):
+            lindbladian.bind(rho.T, np.empty_like(rho))
 
 
 def _dense_rk4_fidelities(drive, rates, space, target, cfg):
@@ -395,6 +477,51 @@ class TestLindbladOracles:
         )
         assert res.positivity_checks
         assert min(eig for _, eig in res.positivity_checks) >= -1e-6
+
+
+class TestLindbladFrame:
+    """evolve_lindblad reads P(t) = e^{iδt}·P(0) through the frame, as evolve_unitary reads it."""
+
+    SPACE = HilbertSpace(2, 4)
+    DRIVE = DriveParams((1.0, 0.8), (0.3, -0.5), 4.0, omega=25.0)
+
+    def _run(self, provider, cfg=None):
+        cfg = cfg or IntegratorConfig(dt=default_dt(self.DRIVE), t_end=loop_time(4.0))
+        state = QuantumState.from_pure(self.SPACE, ground_state(self.SPACE))
+        return evolve_lindblad(provider, DecoherenceRates(kappa=0.1), state, None, cfg)
+
+    def test_rejects_h1_provider(self):
+        # H₁'s frame rotates the register (G ≠ 0), which the σ⁻ and σ^z jumps do not follow
+        with pytest.raises(ValueError, match="G = 0"):
+            self._run(hamiltonian_h1_provider(self.DRIVE, self.SPACE))
+
+    def test_rejects_provider_without_frame(self):
+        p = np.zeros((4, 4), dtype=complex)
+        with pytest.raises(ValueError, match="frame"):
+            self._run(lambda t: p)
+
+    def test_rejects_provider_that_departs_from_its_frame(self):
+        # H₁'s P carrying H₂'s frame: the cross terms do not rotate as (δ, 0) says
+        h1 = hamiltonian_h1_provider(self.DRIVE, self.SPACE)
+        wrong = _with_frame(h1, hamiltonian_h2_provider(self.DRIVE, self.SPACE).frame)
+        with pytest.raises(ValueError, match="departs from the provider's frame"):
+            self._run(wrong)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_hamiltonian_at_the_end_aborts(self, bad):
+        zero = np.zeros((4, 4), dtype=complex)
+        p_bad = zero.copy()
+        p_bad[2, 1] = bad
+        provider = _with_frame(lambda t: p_bad if t > 0.0 else zero, (0.0, zero))
+        with pytest.raises(IntegratorError, match="non-finite Hamiltonian at the end"):
+            self._run(provider)
+
+    def test_rejects_a_step_that_undersamples_the_drive(self):
+        # 2π/(4·0.1) ≈ 16 steps per drive period, against the 100 that IntegratorConfig asks
+        # for when it is given max_frequency; the frame supplies it as |δ|
+        provider = hamiltonian_h2_provider(self.DRIVE, self.SPACE)
+        with pytest.raises(ValueError, match="undersamples"):
+            self._run(provider, IntegratorConfig(dt=0.1, t_end=1.0))
 
 
 def _branch_gap(etas, kappa, cavity_dim, dt, seed):

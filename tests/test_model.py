@@ -340,17 +340,20 @@ class TestFactoredProduct:
         a = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
         rho = a @ a.conj().T
         rho /= np.trace(rho)
-        out = np.empty_like(rho)
-        rhs = _Lindbladian(space, DecoherenceRates())
+        lindbladian = _Lindbladian(space, DecoherenceRates())
+        rhs = lindbladian.bind(rho, np.empty_like(rho))
         for provider, literal in (
             (hamiltonian_h2_provider, _h2_literal),
             (hamiltonian_h1_provider, _h1_literal),
         ):
             p = provider(drive, space)
             for t in (0.0, 0.37, 1.9, 11.3):
+                # P(t) as a constant drive: H₁'s P(t) is not e^{iδt}·P(0)
+                lindbladian.drive(p(t), 0.0)
+                lindbladian.at(0.0)
                 h = literal(drive, space, t)
                 want = -1j * (h @ rho - rho @ h)
-                np.testing.assert_allclose(rhs(p(t), rho, out), want, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(rhs(), want, rtol=0, atol=1e-13)
 
 
 class TestTrajectory:
