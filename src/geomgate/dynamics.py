@@ -5,27 +5,29 @@ The master equation integrated here is
     dρ/dt = i[ρ, H(t)] + (κ/2)L(a) + Σ_j [(γ₁/2)L(σ_j⁻) + (γ₂/2)L(σ_j^z)],
 
 with L(A)ρ = 2AρA† - A†Aρ - ρA†A.  The sign convention i[ρ, H] equals the
-standard -i[H, ρ].  Propagation is fixed-step classical 4th-order (RK4) on
-the full density matrix, and each RK4 step reuses three arrays allocated
-once per run.  Both evolvers take the drive H(t) = P(t)⊗a + P(t)†⊗a† as a
+standard -i[H, ρ].  Both evolvers take the drive H(t) = P(t)⊗a + P(t)†⊗a† as a
 provider t ↦ P(t), the 2^N×2^N register matrix, and both read it through the
 rotating frame (δ, G) that every provider carries, under which
 H(t+s) = V(s)·H(t)·V(s)†, with V(s) = e^{−isG} ⊗ e^{−iδs·n̂}; each checks the
-frame against one late call of the provider.
+frame against late calls of the provider.
 
-Open-system propagation takes G = 0, so P(t) = e^{iδt}·P(0).  The right-hand
-side is one generator, built once per run and bound once to each of its two
+The master equation takes G = 0, so P(t) = e^{iδt}·P(0), and a fixed step
+plan on the full density matrix.  With rates, each step is classical
+4th-order RK4 in three arrays allocated once per run.  Its right-hand side is
+one generator, built once per run and bound once to each of its two
 (input, output) buffer pairs: ρ ↦ E + E† + D(ρ), where E = −i·H(t)·ρ is two
 cavity shifts of ρ and one product with the register block −i·[P(t), P(t)†],
 written from P(0) once per stage time, no dense H(t), and D is N+2 shifted
-diagonals of vec(ρ), added to the result chunk by chunk.
+diagonals of vec(ρ), added to the result chunk by chunk.  Without rates, each
+step is exact: ρ ← U_n·ρ·U_n†, with U_1 = V(dt)·e^{−i·dt·(H(0) − δ·n̂)} from
+one exponential and U_{n+1} = V(dt)·U_n·V(dt)†.
 
-Closed-system propagation takes the midpoint rule, steps exp(−i·dt·H(t_mid)),
+State propagation takes the midpoint rule, steps exp(−i·dt·H(t_mid)),
 but forms only the first step: under the frame the product of all N steps is
-V(N·dt)·(V(dt)†·U_1)^N, taken by repeated squaring.  U_1 and
-R(dt) = e^{−i·dt·G} come from :func:`~geomgate.core.matexp`, the package's
-one exponential: a truncated Taylor series sized from dt·‖H‖₁ on the dense
-H(dt/2), with no eigendecomposition.
+V(N·dt)·(V(dt)†·U_1)^N, taken by repeated squaring.  Every exponential comes
+from :func:`~geomgate.core.matexp`, the package's one: a truncated Taylor
+series sized from its argument's norm, with no eigendecomposition, applied to
+a dense H written by one helper.
 """
 
 from __future__ import annotations
@@ -209,10 +211,8 @@ class _Lindbladian:
         self._a = np.zeros((q, 2 * q), dtype=complex)
         self._a_p, self._a_p_adj = self._a[:, :q], self._a[:, q:]
         self.drive(np.zeros((q, q), dtype=complex), 0.0)
-        # per chunk: (vec(ρ) start, [(input start, weights, term view)]); none without rates
+        # per chunk: (vec(ρ) start, [(input start, weights, term view)]); empty without rates
         self._chunks: list[tuple[int, list[tuple[int, np.ndarray, np.ndarray]]]] = []
-        if not rates.any_active:
-            return
         nq = space.n_qubits
         idx = np.arange(dim)
         fock = idx % d
@@ -335,6 +335,88 @@ def _check_frame(p: np.ndarray, predicted: np.ndarray, n_steps: int, where: str)
         raise ValueError(f"P(t) departs from the provider's frame by {departure:.3e} at {where}")
 
 
+def _hermitian_copy(rho0: np.ndarray) -> np.ndarray:
+    """(ρ₀ + ρ₀†)/2 as a new C-ordered array: |ψ⟩⟨ψ| of a complex ψ is Hermitian
+    only to roundoff, RK4 keeps whatever asymmetry the start has, and the steps read
+    ρ through reshaped views."""
+    rho = np.array(rho0, dtype=complex, order="C")
+    rho += rho.conj().T
+    rho *= 0.5
+    return rho
+
+
+def _rk4_stepper(
+    lindbladian: _Lindbladian, s: np.ndarray, delta: float, dt: float, rho0: np.ndarray
+) -> tuple[np.ndarray, Callable[[float], None]]:
+    """The state ρ and the RK4 step from t0 that updates it in place (see :func:`evolve_lindblad`).
+
+    ``lindbladian`` is built before the state: its weight tables pass
+    through temporaries of several dim².
+    """
+    lindbladian.drive(s, delta)
+    rho = _hermitian_copy(rho0)
+    # RK4 scratch, reused every step: the weighted stage sum, the latest stage and the stage state
+    acc, k, stage = (np.empty_like(rho) for _ in range(3))
+    at = lindbladian.at
+    rhs_rho = lindbladian.bind(rho, acc)
+    rhs_stage = lindbladian.bind(stage, k)
+    half_dt = 0.5 * dt
+
+    def advance(t0: float) -> None:
+        nonlocal acc, k, rho  # updated in place, never rebound to another array
+        # ρ + (dt/6)·(k1 + 2·k2 + 2·k3 + k4), summed in acc
+        at(t0)
+        rhs_rho()
+        np.add(rho, np.multiply(acc, half_dt, out=stage), out=stage)
+        at(t0 + half_dt)
+        for h in (half_dt, dt):
+            rhs_stage()
+            np.add(rho, np.multiply(k, h, out=stage), out=stage)
+            k *= 2.0
+            acc += k
+        at(t0 + dt)
+        rhs_stage()
+        acc += k
+        acc *= dt / 6.0
+        rho += acc
+
+    return rho, advance
+
+
+def _exact_stepper(
+    s: np.ndarray, delta: float, d: int, dt: float, rho0: np.ndarray
+) -> tuple[np.ndarray, Callable[[float], None]]:
+    """The state ρ and the exact step ρ ← U_n·ρ·U_n† of a closed system, whatever t0.
+
+    In the frame V(t) = e^{−iδt·n̂} the generator is the constant H̃ = H(0) − δ·n̂,
+    so U_n = V(n·dt)·e^{−i·dt·H̃}·V((n−1)·dt)†; U_1 is formed before the state.
+    """
+    dim = s.shape[0] * d
+    fock = np.arange(dim) % d
+    h = _dense_drive(s, d)
+    h.reshape(-1)[:: dim + 1] -= delta * fock
+    h *= -1j * dt
+    u = matexp(h)
+    del h
+    u *= np.exp(-1j * delta * dt * fock)[:, None]  # V(dt)·e^{−i·dt·H̃}
+    # Φ∘U_n = V(dt)·U_n·V(dt)†, one exp per entry: the outer product of V(dt)'s phases is off
+    # unit modulus by up to 2ε, which the steps compound (trajectory: 3.8e-12, not 1.9e-14)
+    phi = np.exp(-1j * delta * dt * (fock[:, None] - fock[None, :]))
+    rho = _hermitian_copy(rho0)
+    x, y = np.empty_like(rho), np.empty_like(rho)
+
+    def advance(t0: float) -> None:
+        nonlocal rho, u  # updated in place, never rebound to another array
+        np.matmul(u, rho, out=x)
+        # U·(U·ρ)† = U·ρ·U†, since ρ is Hermitian
+        np.matmul(u, np.conjugate(x.T, out=y), out=rho)
+        rho += np.conjugate(rho.T, out=x)
+        rho *= 0.5
+        u *= phi
+
+    return rho, advance
+
+
 def evolve_lindblad(
     h_of_t: HamiltonianProvider,
     rates: DecoherenceRates,
@@ -352,9 +434,10 @@ def evolve_lindblad(
         matrix of H(t) = P(t)⊗a + P(t)†⊗a† (the providers of
         :mod:`geomgate.model`).  Like :func:`evolve_unitary`, it reads the
         provider's rotating frame ``frame`` = (δ, G), and it takes only
-        G = 0, the H₂ drive P(t) = e^{iδt}·S.  The provider is called twice:
-        at t=0, where S = P(0) fixes the shape and the drive of every RK4
-        stage, and at t_end, where P must match e^{iδ·t_end}·S to within
+        G = 0, the H₂ drive P(t) = e^{iδt}·S.  The provider is called three
+        times: at t=0, where S = P(0) fixes the shape and the drive of every
+        step, and at t_end and t_end/φ (φ the golden ratio, a time off the
+        step grid), where P must match e^{iδt}·S to within
         :func:`evolve_unitary`'s bound.  ``cfg`` is checked again at
         ``max_frequency`` = |δ|, so dt resolves the drive.
     rates:
@@ -377,31 +460,34 @@ def evolve_lindblad(
     ``positivity_checks``; the full ``eigvalsh`` costs more than the rest of a
     record, so it is not taken on every one.
 
-    RK4 keeps three dim×dim scratch arrays: ``acc`` takes k1, ``k`` each later
-    stage and ``stage`` the next stage state, formed from k before w·k (w = 2,
-    2, 1) is added to acc; then ρ += (dt/6)·acc.  The right-hand side is bound
-    once to (ρ, acc) and once to (stage, k), and its drive block is written
-    once per distinct stage time: t0, t0 + dt/2 (k2 and k3) and t0 + dt.
+    With any rate, a step is RK4 in three dim×dim scratch arrays: ``acc``
+    takes k1, ``k`` each later stage and ``stage`` the next stage state,
+    formed from k before w·k (w = 2, 2, 1) is added to acc; then
+    ρ += (dt/6)·acc.  The right-hand side is bound once to (ρ, acc) and once
+    to (stage, k), and its drive block is written once per distinct stage
+    time: t0, t0 + dt/2 (k2 and k3) and t0 + dt.  With no rates, a step is
+    exact: ρ ← U_n·ρ·U_n†, with U_1 = V(dt)·e^{−i·dt·(H(0) − δ·n̂)} from one
+    :func:`~geomgate.core.matexp` per run and U_{n+1} = Φ∘U_n,
+    Φ[i, k] = e^{−iδ·dt·(n_i − n_k)}, so ρ stays in the lab frame.
 
-    ρ stays exactly Hermitian, bit for bit, with no re-symmetrisation per
-    step.  The initial ρ is replaced by (ρ + ρ†)/2 once, which is exactly
-    Hermitian.  From then on every operation maps such a ρ to another one:
-    a right-hand side forms E + E† as conj(Eᵀ) + E, whose (i, k) and (k, i)
+    The initial ρ is replaced by (ρ + ρ†)/2 once, which is exactly Hermitian.
+    RK4 keeps it so, bit for bit, with no re-symmetrisation per step: a
+    right-hand side forms E + E† as conj(Eᵀ) + E, whose (i, k) and (k, i)
     entries are conjugate sums of the same two numbers; every dissipator
     channel is added uniformly, with symmetric weights w[i, k] = w[k, i], in
     the same order at (i, k) and (k, i); and RK4 mixes the stages with real
-    scalars only.
-    A change to any of these must restore the per-step symmetrisation.
+    scalars only.  A change to any of these must restore the per-step
+    symmetrisation, which the exact step, Hermitian only to roundoff, takes.
 
     Raises
     ------
     ValueError
         If P(t) is not 2^N×2^N, the target or an observable has the wrong
         shape, the provider carries no finite ``frame`` or one with G ≠ 0, dt
-        undersamples |δ|, or P(t_end) departs from the frame.
+        undersamples |δ|, or P departs from the frame.
     IntegratorError
-        On a non-finite P(0) or P(t_end), trace drift beyond 1e-6 or
-        non-finite values (with step context).
+        On a non-finite P, trace drift beyond 1e-6 or non-finite values
+        (with step context).
     """
     space = initial.space
     dim = space.dim
@@ -431,27 +517,15 @@ def evolve_lindblad(
     dt = cfg.dt_effective
     stride = cfg.record_stride
     t_end = n_steps * dt
-    _check_frame(
-        _finite_drive(h_of_t, t_end, "the end"),
-        cmath.exp(1j * delta * t_end) * s,
-        n_steps,
-        f"the end t={t_end:.6g}",
-    )
+    # t_end/φ lies off the step grid: a drive that leaves its frame mid-run is refused too
+    for where, t in (("the end", t_end), ("mid-run", t_end * 2.0 / (1.0 + math.sqrt(5.0)))):
+        predicted = cmath.exp(1j * delta * t) * s
+        _check_frame(_finite_drive(h_of_t, t, where), predicted, n_steps, f"{where} t={t:.6g}")
 
-    # built before the state: its weight tables pass through temporaries of several dim²
-    lindbladian = _Lindbladian(space, rates)
-    lindbladian.drive(s, delta)
-    # C order: the right-hand side reads each stage through reshaped views
-    rho = np.array(initial.rho, dtype=complex, order="C")
-    # RK4 scratch, reused every step: the weighted stage sum, the latest stage and the stage state
-    acc, k, stage = (np.empty_like(rho) for _ in range(3))
-    # ρ = (ρ + ρ†)/2 once: |ψ⟩⟨ψ| of a complex ψ is Hermitian only to roundoff,
-    # and the steps below keep whatever asymmetry the start has
-    rho += np.conjugate(rho.T, out=stage)
-    rho *= 0.5
-    at = lindbladian.at
-    rhs_rho = lindbladian.bind(rho, acc)
-    rhs_stage = lindbladian.bind(stage, k)
+    if rates.any_active:
+        rho, advance = _rk4_stepper(_Lindbladian(space, rates), s, delta, dt, initial.rho)
+    else:
+        rho, advance = _exact_stepper(s, delta, space.cavity_dim, dt, initial.rho)
     times: list[float] = []
     fids: list[float] = []
     traces: list[float] = []
@@ -475,24 +549,8 @@ def evolve_lindblad(
             positivity.append((t, float(np.linalg.eigvalsh(rho)[0])))
 
     record(0.0, np.trace(rho))
-    half_dt = 0.5 * dt
     for step in range(1, n_steps + 1):
-        t0 = (step - 1) * dt
-        # ρ + (dt/6)·(k1 + 2·k2 + 2·k3 + k4), summed in acc
-        at(t0)
-        rhs_rho()
-        np.add(rho, np.multiply(acc, half_dt, out=stage), out=stage)
-        at(t0 + half_dt)
-        for h in (half_dt, dt):
-            rhs_stage()
-            np.add(rho, np.multiply(k, h, out=stage), out=stage)
-            k *= 2.0
-            acc += k
-        at(t0 + dt)
-        rhs_stage()
-        acc += k
-        acc *= dt / 6.0
-        rho += acc
+        advance((step - 1) * dt)
         tr = np.trace(rho)
         if not np.isfinite(tr.real) or not np.isfinite(tr.imag):
             raise IntegratorError(
@@ -543,6 +601,21 @@ def _ladder(h: np.ndarray, q: int, d: int, adjoint: bool = False) -> np.ndarray:
     )
 
 
+def _dense_drive(p: np.ndarray, d: int) -> np.ndarray:
+    """The dense H = P⊗a + P†⊗a† of a q×q register matrix P and a d-level cavity.
+
+    P·√(n+1) and its conjugate are written into one zeroed array where a and
+    a† are nonzero (nowhere at d = 1), through :func:`_ladder`, with no
+    Kronecker product.
+    """
+    q = p.shape[0]
+    sqrt_n = np.sqrt(np.arange(1.0, d))[:, None]
+    h = np.zeros((q * d, q * d), dtype=complex)
+    np.multiply(p[:, None, :], sqrt_n, out=_ladder(h, q, d))
+    np.multiply(p.conj()[:, None, :], sqrt_n, out=_ladder(h, q, d, adjoint=True))
+    return h
+
+
 def evolve_unitary(
     h_of_t: HamiltonianProvider,
     initial: np.ndarray,
@@ -572,9 +645,7 @@ def evolve_unitary(
     R(dt) is formed the same way on the register, and W^N and R(dt)^N by
     repeated squaring.  The cost is one dim×dim Taylor series and about
     2·log₂N dim×dim products, whatever the array, and no eigendecomposition
-    is taken.  The dense H(dt/2) that U_1 exponentiates is written entry by
-    entry into one zeroed dim×dim array: P(dt/2)·√(n+1) where a is nonzero and
-    its conjugate where a† is (:func:`_ladder`), with no Kronecker product.
+    is taken.  U_1 exponentiates the dense H(dt/2) of :func:`_dense_drive`.
 
     The provider is called three times: at t=0 for the shape, at the first
     midpoint for U_1 and at the last midpoint, where P must match the frame's
@@ -617,13 +688,9 @@ def evolve_unitary(
 
     # V(dt)† on the Fock levels: e^{iδ·dt·n}
     back = np.exp(1j * delta * dt * np.arange(d))
-    # H(dt/2) = P⊗a + P†⊗a†, written only where a and a† are nonzero (nowhere at d = 1)
-    sqrt_n = np.sqrt(np.arange(1.0, d))[:, None]
-    h = np.zeros((dim, dim), dtype=complex)
-    np.multiply(p_first[:, None, :], sqrt_n, out=_ladder(h, q, d))
-    np.multiply(p_first.conj()[:, None, :], sqrt_n, out=_ladder(h, q, d, adjoint=True))
-    # W = V(dt)†·U_1, with −i·dt·H formed in place and U_1 not kept: each is dim², and
+    # W = V(dt)†·U_1, with −i·dt·H(dt/2) formed in place and U_1 not kept: each is dim², and
     # at the dimension cap the room matters to the squarings
+    h = _dense_drive(p_first, d)
     h *= -1j * dt
     w = _frame_apply(r.conj().T, back, matexp(h))
     del h

@@ -215,8 +215,8 @@ class TestBoundRightHandSide:
                 IntegratorConfig(dt=0.1 / n_steps, t_end=0.1, record_stride=n_steps),
             )
             counts.append(len(calls))
-        # P(0) for the shape and the drive, P(t_end) for the frame check
-        assert counts == [2, 2]
+        # P(0) for the shape and the drive, P(t_end) and P(t_end/φ) for the frame checks
+        assert counts == [3, 3]
 
     def test_drive_block_equals_the_providers_product(self):
         # A = −i·[P(t), P(t)†] from e^{iδt} and P(0), against the same block from P(t)
@@ -507,6 +507,16 @@ class TestLindbladFrame:
         with pytest.raises(ValueError, match="departs from the provider's frame"):
             self._run(wrong)
 
+    def test_rejects_provider_that_leaves_its_frame_mid_run(self):
+        # H₂'s P(t) plus sin(πt/t_end)·I departs by 1.0 at t_end/2 and returns by t_end; the
+        # check at t_end alone let it through, and the run matched plain H₂ bit for bit
+        h2 = hamiltonian_h2_provider(self.DRIVE, self.SPACE)
+        t_end = loop_time(4.0)
+        eye = np.eye(4, dtype=complex)
+        bump = _with_frame(lambda t: h2(t) + math.sin(math.pi * t / t_end) * eye, h2.frame)
+        with pytest.raises(ValueError, match="departs from the provider's frame .* at mid-run"):
+            self._run(bump)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_hamiltonian_at_the_end_aborts(self, bad):
         zero = np.zeros((4, 4), dtype=complex)
@@ -648,8 +658,70 @@ class TestRotatingFrameOracle:
         assert gaps[1] < gaps[0] / 8
 
 
-def _final_rho_from_random_start(n_qubits, cavity_dim, driven, seed=5):
-    """final_rho of a quarter loop from a random complex |ψ⟩⟨ψ|, with κ, γ₁, γ₂ > 0.
+class TestExactClosedStep:
+    """A zero-rate run steps ρ ← U_n·ρ·U_n† in the drive's frame: exact to roundoff at any dt.
+
+    Each tolerance, 1e-12, was stated before the run from the trajectory's
+    1.9e-14 over 512 steps.  The seeded run read 2.7e-15 against the oracle,
+    and halving dt moved no record by more than 1.2e-14.  RK4 on the same run
+    read 5.7e-8, and halving dt moved its records by 5.4e-8.
+    """
+
+    def _run(self, k):
+        rng = np.random.default_rng(31)
+        drive = DriveParams(rng.uniform(0.7, 1.3, 3), rng.uniform(-math.pi, math.pi, 3), 4.0)
+        space = HilbertSpace(3, 8)
+        provider = hamiltonian_h2_provider(drive, space)
+        cfg = IntegratorConfig(
+            dt=default_dt(drive) / k,
+            t_end=2.0 * loop_time(4.0),
+            record_stride=4 * k,
+            max_frequency=provider.max_frequency,
+        )
+        initial = QuantumState.from_pure(space, ground_state(space))
+        return drive, evolve_lindblad(provider, DecoherenceRates(), initial, _gate_target(3), cfg)
+
+    def test_seeded_three_qubit_run_every_record(self):
+        drive, result = self._run(1)
+        exact = _rotating_frame_fidelities(
+            drive.etas, drive.phis, 4.0, (0.0, 0.0, 0.0), 8, _gate_target(3), result.times
+        )
+        assert np.abs(result.fidelities - exact).max() <= 1e-12
+
+    def test_halving_dt_moves_no_record(self):
+        (_, coarse), (_, fine) = self._run(1), self._run(2)
+        np.testing.assert_allclose(fine.times, coarse.times, rtol=0, atol=1e-12)
+        assert np.abs(fine.fidelities - coarse.fidelities).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_steps", [10, 1000])
+    def test_one_exponential_and_no_lindbladian(self, monkeypatch, n_steps):
+        shapes = []
+
+        def counted(a):
+            shapes.append(a.shape)
+            return matexp(a)
+
+        def refused(*args):
+            raise AssertionError("a zero-rate run built a _Lindbladian")
+
+        monkeypatch.setattr(dynamics, "matexp", counted)
+        monkeypatch.setattr(dynamics, "_Lindbladian", refused)
+        space = HilbertSpace(2, 4)
+        provider = hamiltonian_h2_provider(DriveParams((1.0, 0.8), (0.3, -0.5), 4.0), space)
+        evolve_lindblad(
+            provider,
+            DecoherenceRates(),
+            QuantumState.from_pure(space, ground_state(space)),
+            None,
+            IntegratorConfig(dt=0.1 / n_steps, t_end=0.1, record_stride=n_steps),
+        )
+        assert shapes == [(space.dim, space.dim)]
+
+
+def _final_rho_from_random_start(
+    n_qubits, cavity_dim, driven, seed=5, rates=DecoherenceRates(kappa=0.3, gamma1=0.2, gamma2=0.1)
+):
+    """final_rho of a quarter loop from a random complex |ψ⟩⟨ψ|, by default with κ, γ₁, γ₂ > 0.
 
     ``driven`` adds H2(t) with unequal couplings and non-zero phases; without
     it only the dissipator acts.
@@ -669,7 +741,7 @@ def _final_rho_from_random_start(n_qubits, cavity_dim, driven, seed=5):
     tau = loop_time(4.0)
     res = evolve_lindblad(
         provider,
-        DecoherenceRates(kappa=0.3, gamma1=0.2, gamma2=0.1),
+        rates,
         QuantumState.from_pure(space, psi / np.linalg.norm(psi)),
         None,
         IntegratorConfig(dt=tau / 200, t_end=tau / 4),
@@ -678,12 +750,18 @@ def _final_rho_from_random_start(n_qubits, cavity_dim, driven, seed=5):
 
 
 class TestExactHermiticity:
-    """evolve_lindblad keeps ρ Hermitian bit for bit, with no per-step re-symmetrisation."""
+    """evolve_lindblad's ρ is Hermitian bit for bit: RK4 keeps it so with no per-step
+    re-symmetrisation, and the exact closed-system step takes (ρ + ρ†)/2 after each step."""
 
     @pytest.mark.parametrize("driven", [False, True], ids=["dissipator", "drive"])
     @pytest.mark.parametrize("n_qubits,cavity_dim", [(2, 6), (3, 5), (1, 8)])
     def test_final_rho_is_exactly_hermitian(self, n_qubits, cavity_dim, driven):
         rho = _final_rho_from_random_start(n_qubits, cavity_dim, driven)
+        assert np.array_equal(rho, rho.conj().T)
+
+    @pytest.mark.parametrize("n_qubits,cavity_dim", [(2, 6), (3, 5), (1, 8)])
+    def test_zero_rate_final_rho_is_exactly_hermitian(self, n_qubits, cavity_dim):
+        rho = _final_rho_from_random_start(n_qubits, cavity_dim, True, rates=DecoherenceRates())
         assert np.array_equal(rho, rho.conj().T)
 
     def test_asymmetric_dissipator_weight_breaks_it(self, monkeypatch):

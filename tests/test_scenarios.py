@@ -253,7 +253,7 @@ class TestTrajectoryScenario:
     def test_simulation_tracks_closed_form(self, tmp_path):
         spec = ScenarioSpec(kind="trajectory", output_path=str(tmp_path / "t.csv"))
         summary = run_trajectory(spec)
-        assert summary["max_sim_deviation"] < 1e-10
+        assert summary["max_sim_deviation"] < 1e-12
         assert summary["analytic_closure"] < 1e-12
         assert summary["simulated_closure"] < 1e-12
         assert summary["x_max_analytic"] == pytest.approx(math.sqrt(0.5), abs=1e-12)
@@ -267,7 +267,7 @@ class TestTrajectoryScenario:
         np.testing.assert_allclose(data[:, 3], -data[:, 1], atol=0)
         np.testing.assert_allclose(data[:, 4], -data[:, 2], atol=0)
         # simulated loop follows the analytic positive-x branch
-        np.testing.assert_allclose(data[:, 5], data[:, 1], atol=1e-10)
+        np.testing.assert_allclose(data[:, 5], data[:, 1], atol=1e-12)
 
     def test_reruns_are_bitwise_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -478,7 +478,9 @@ class TestGeneratorBound:
             # γ = m·κ overflows to inf, which DecoherenceRates rejected with a traceback
             ["ghz-sweep", "--n-qubits", "2", "--cavity-dim", "4", "--kappa-over-eta", "1e10",
              "--m-values", "1e300"],
-            # 512 steps per loop of 2π/δ: dt·Λ = 3.8 at δ = 0.05, d = 16
+            # 512 steps per loop of 2π/δ: dt·Λ = 3.8 at δ = 0.05, d = 16.  The exact closed
+            # step is stable at any dt, so the bound no longer guards stability here: it is the
+            # only refusal of a branch mean photon number (2/δ)² = 1600 far past d = 16
             ["trajectory", "--delta-over-eta", "0.05"],
         ],
     )
