@@ -12,15 +12,17 @@ H(t+s) = V(s)·H(t)·V(s)†, with V(s) = e^{−isG} ⊗ e^{−iδs·n̂}; each 
 frame against late calls of the provider.
 
 The master equation takes G = 0, so P(t) = e^{iδt}·P(0), and a fixed step
-plan on the full density matrix.  With rates, each step is classical
-4th-order RK4 in three arrays allocated once per run.  Its right-hand side is
-one generator, built once per run and bound once to each of its two
-(input, output) buffer pairs: ρ ↦ E + E† + D(ρ), where E = −i·H(t)·ρ is two
-cavity shifts of ρ and one product with the register block −i·[P(t), P(t)†],
-written from P(0) once per stage time, no dense H(t), and D is N+2 shifted
-diagonals of vec(ρ), added to the result chunk by chunk.  Without rates, each
-step is exact: ρ ← U_n·ρ·U_n†, with U_1 = V(dt)·e^{−i·dt·(H(0) − δ·n̂)} from
-one exponential and U_{n+1} = V(dt)·U_n·V(dt)†.
+plan on the full density matrix.  With rates, or above dim 192, each step
+is classical 4th-order RK4 in three arrays allocated once per run.  Its
+right-hand side is one generator, built once per run and bound once to each
+of its two (input, output) buffer pairs: ρ ↦ E + E† + D(ρ), where
+E = −i·H(t)·ρ is two cavity shifts of ρ and one product with the register
+block −i·[P(t), P(t)†], written from P(0) once per stage time, no dense
+H(t), and D is N+2 shifted diagonals of vec(ρ), added to the result chunk
+by chunk.  Without rates, up to dim 192, each step is exact: ρ ← U_n·ρ·U_n†,
+with U_1 = V(dt)·e^{−i·dt·(H(0) − δ·n̂)} from one exponential and
+U_{n+1} = V(dt)·U_n·V(dt)†; above that size its two dense products per step
+can cost more than RK4.
 
 State propagation takes the midpoint rule, steps exp(−i·dt·H(t_mid)),
 but forms only the first step: under the frame the product of all N steps is
@@ -53,6 +55,14 @@ __all__ = [
 
 # t ↦ P(t), the register matrix of the drive H(t) = P(t)⊗a + P(t)†⊗a† (see model)
 HamiltonianProvider = Callable[[float], np.ndarray]
+
+
+# Largest dim the exact closed-system step takes.  Its two dense dim×dim products per step
+# cost about dim³, RK4's four right-hand sides about 4·q·dim² plus numpy overhead.  Zero-rate
+# runs from the vacuum on 2 vCPUs (OpenBLAS 0.3.31), exact/RK4 time: 0.6–0.9 up to dim 192;
+# at 256, 0.7–0.8 for d ≤ 32 but 1.05–1.7 for d ≥ 64, where subnormal Fock tails of ρ slow
+# the dense products; 2.7 for trajectory at d = 192 (dim 384); 1.3–1.9 per step at 768–2048.
+_EXACT_MAX_DIM = 192
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -460,13 +470,14 @@ def evolve_lindblad(
     ``positivity_checks``; the full ``eigvalsh`` costs more than the rest of a
     record, so it is not taken on every one.
 
-    With any rate, a step is RK4 in three dim×dim scratch arrays: ``acc``
-    takes k1, ``k`` each later stage and ``stage`` the next stage state,
-    formed from k before w·k (w = 2, 2, 1) is added to acc; then
-    ρ += (dt/6)·acc.  The right-hand side is bound once to (ρ, acc) and once
-    to (stage, k), and its drive block is written once per distinct stage
-    time: t0, t0 + dt/2 (k2 and k3) and t0 + dt.  With no rates, a step is
-    exact: ρ ← U_n·ρ·U_n†, with U_1 = V(dt)·e^{−i·dt·(H(0) − δ·n̂)} from one
+    With any rate, or above dim 192, a step is RK4 in three dim×dim scratch
+    arrays: ``acc`` takes k1, ``k`` each later stage and ``stage`` the next
+    stage state, formed from k before w·k (w = 2, 2, 1) is added to acc;
+    then ρ += (dt/6)·acc.  The right-hand side is bound once to (ρ, acc) and
+    once to (stage, k), and its drive block is written once per distinct
+    stage time: t0, t0 + dt/2 (k2 and k3) and t0 + dt.  With no rates, up to
+    dim 192, a step is exact: ρ ← U_n·ρ·U_n†, with
+    U_1 = V(dt)·e^{−i·dt·(H(0) − δ·n̂)} from one
     :func:`~geomgate.core.matexp` per run and U_{n+1} = Φ∘U_n,
     Φ[i, k] = e^{−iδ·dt·(n_i − n_k)}, so ρ stays in the lab frame.
 
@@ -522,7 +533,7 @@ def evolve_lindblad(
         predicted = cmath.exp(1j * delta * t) * s
         _check_frame(_finite_drive(h_of_t, t, where), predicted, n_steps, f"{where} t={t:.6g}")
 
-    if rates.any_active:
+    if rates.any_active or dim > _EXACT_MAX_DIM:
         rho, advance = _rk4_stepper(_Lindbladian(space, rates), s, delta, dt, initial.rho)
     else:
         rho, advance = _exact_stepper(s, delta, space.cavity_dim, dt, initial.rho)

@@ -76,8 +76,8 @@ DEFAULT_OMEGA_SCAN = (25.0, 50.0, 100.0, 200.0)
 _MAX_STEPS = 4_000_000
 # Largest dt·Λ a Lindblad plan may take, with Λ the generator bound of _plan.  RK4's
 # stability region holds the left half-disk of radius 2.6156 about the origin, and
-# the Lindbladian's spectrum lies in the left half-plane within |z| ≤ Λ.  A plan
-# with no rates takes the exact step, and keeps the bound as a truncation guard (_plan).
+# the Lindbladian's spectrum lies in the left half-plane within |z| ≤ Λ.  The exact
+# closed-system step needs no such bound; see _plan for why no-rate plans keep it.
 _MAX_DT_NORM = 2.5
 # Largest joint dimension 2^N·d a run may allocate (N=6, d=32): far larger ones
 # would fail in a dense allocation with a MemoryError instead of a SpecError.
@@ -236,12 +236,13 @@ def _plan(
 
     bounds the norm of the Lindbladian, and so its spectral radius: 2·‖H‖ for
     the commutator, with ‖H‖ ≤ 2·Σ_j|η_j|·‖a‖ and ‖a‖ = √(d−1), and
-    4·(rate/2)·‖A‖² for each L(A).  With a rate, RK4 steps the plan, and
-    below 2.5 every dt·λ lies inside its stability region.  With no rates,
-    the step is exact at any dt, and the bound is only a truncation guard: it
-    is the one refusal of `trajectory --delta-over-eta 0.05`, whose branch
-    mean photon number (2/δ)² = 1600 far exceeds d = 16.  Remove it only
-    together with a derived Fock truncation bound.
+    4·(rate/2)·‖A‖² for each L(A).  Below 2.5 every dt·λ lies inside RK4's
+    stability region.  The integrator chooses its step; where it takes the
+    exact closed-system step, stable at any dt, the bound is only a dt bound,
+    kept so that such plans are refused (exit 2) as before.  It guards no
+    truncation: `trajectory --delta-over-eta 0.05` is refused, but adding
+    `--dt-over-eta 0.01` passes with the same branch mean photon number
+    (2/δ)² = 1600 far past d = 16; only a Fock truncation check would catch it.
     """
     dt = spec.dt_override if spec.dt_override is not None else default_dt(drive)
     if not (0 < dt < math.inf and 0 < t_end < math.inf and t_end / dt < math.inf):
@@ -260,10 +261,9 @@ def _plan(
             + 2.0 * drive.n_qubits * (gamma1 + gamma2)
         )
         if t_end / n_steps * bound > _MAX_DT_NORM:
-            why = "outside RK4's stability region" if any(rates) else "the guard of a no-rate plan"
             raise SpecError(
                 f"dt={t_end / n_steps:.3e} times the generator bound {bound:.3e} exceeds "
-                f"{_MAX_DT_NORM}, {why}; lower dt, cavity_dim or the rates"
+                f"{_MAX_DT_NORM}, the largest a Lindblad step plan may take"
             )
     stride = max(1, n_steps // records) if records else 1
     try:

@@ -717,6 +717,27 @@ class TestExactClosedStep:
         )
         assert shapes == [(space.dim, space.dim)]
 
+    @pytest.mark.parametrize("cavity_dim, exponentials", [(96, 1), (97, 0)])
+    def test_rk4_above_dim_192(self, monkeypatch, cavity_dim, exponentials):
+        # N=1: dim 192 takes the exact step; above it its dim³ products can cost more than RK4
+        shapes = []
+
+        def counted(a):
+            shapes.append(a.shape)
+            return matexp(a)
+
+        monkeypatch.setattr(dynamics, "matexp", counted)
+        space = HilbertSpace(1, cavity_dim)
+        provider = hamiltonian_h2_provider(DriveParams((1.0,), (0.3,), 4.0), space)
+        evolve_lindblad(
+            provider,
+            DecoherenceRates(),
+            QuantumState.from_pure(space, ground_state(space)),
+            None,
+            IntegratorConfig(dt=0.01, t_end=0.02, record_stride=2),
+        )
+        assert len(shapes) == exponentials
+
 
 def _final_rho_from_random_start(
     n_qubits, cavity_dim, driven, seed=5, rates=DecoherenceRates(kappa=0.3, gamma1=0.2, gamma2=0.1)

@@ -479,8 +479,8 @@ class TestGeneratorBound:
             ["ghz-sweep", "--n-qubits", "2", "--cavity-dim", "4", "--kappa-over-eta", "1e10",
              "--m-values", "1e300"],
             # 512 steps per loop of 2π/δ: dt·Λ = 3.8 at δ = 0.05, d = 16.  The exact closed
-            # step is stable at any dt, so the bound no longer guards stability here: it is the
-            # only refusal of a branch mean photon number (2/δ)² = 1600 far past d = 16
+            # step is stable at any dt, so here the bound is only a dt bound; it does not catch
+            # the branch mean photon number (2/δ)² = 1600 far past d = 16 at a finer dt
             ["trajectory", "--delta-over-eta", "0.05"],
         ],
     )
