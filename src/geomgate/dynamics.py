@@ -12,17 +12,11 @@ H(t+s) = V(s)·H(t)·V(s)†, with V(s) = e^{−isG} ⊗ e^{−iδs·n̂}; each 
 frame against late calls of the provider.
 
 The master equation takes G = 0, so P(t) = e^{iδt}·P(0), and a fixed step
-plan on the full density matrix.  With rates, or above dim 192, each step
-is classical 4th-order RK4 in three arrays allocated once per run.  Its
-right-hand side is one generator, built once per run and bound once to each
-of its two (input, output) buffer pairs: ρ ↦ E + E† + D(ρ), where
-E = −i·H(t)·ρ is two cavity shifts of ρ and one product with the register
-block −i·[P(t), P(t)†], written from P(0) once per stage time, no dense
-H(t), and D is N+2 shifted diagonals of vec(ρ), added to the result chunk
-by chunk.  Without rates, up to dim 192, each step is exact: ρ ← U_n·ρ·U_n†,
-with U_1 = V(dt)·e^{−i·dt·(H(0) − δ·n̂)} from one exponential and
-U_{n+1} = V(dt)·U_n·V(dt)†; above that size its two dense products per step
-can cost more than RK4.
+plan.  With rates, each step is classical 4th-order RK4 on the full density
+matrix, from one generator built once per run (:class:`_Lindbladian`) with no
+dense H(t).  Without rates, ρ₀ = X·X† is factored once, one column for a pure
+start, and each step is exact: X̃ ← W·X̃ with W = e^{−i·dt·(H(0) − δ·n̂)} from
+one exponential; a record reads the lab-frame X = e^{−iδt·n̂}·X̃.
 
 State propagation takes the midpoint rule, steps exp(−i·dt·H(t_mid)),
 but forms only the first step: under the frame the product of all N steps is
@@ -55,14 +49,6 @@ __all__ = [
 
 # t ↦ P(t), the register matrix of the drive H(t) = P(t)⊗a + P(t)†⊗a† (see model)
 HamiltonianProvider = Callable[[float], np.ndarray]
-
-
-# Largest dim the exact closed-system step takes.  Its two dense dim×dim products per step
-# cost about dim³, RK4's four right-hand sides about 4·q·dim² plus numpy overhead.  Zero-rate
-# runs from the vacuum on 2 vCPUs (OpenBLAS 0.3.31), exact/RK4 time: 0.6–0.9 up to dim 192;
-# at 256, 0.7–0.8 for d ≤ 32 but 1.05–1.7 for d ≥ 64, where subnormal Fock tails of ρ slow
-# the dense products; 2.7 for trajectory at d = 192 (dim 384); 1.3–1.9 per step at 768–2048.
-_EXACT_MAX_DIM = 192
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -147,7 +133,7 @@ class EvolutionResult:
     ``times``, ``fidelities``, ``traces`` and ``purities`` share one length;
     ``observables`` adds named series of the same length.  ``fidelities`` is
     NaN-filled when the run had no target state.  ``positivity_checks``
-    holds (time, min eigenvalue) spot checks of ρ.
+    holds (time, min eigenvalue) spot checks of ρ, none in a closed run.
     """
 
     times: np.ndarray = field(repr=False)
@@ -346,9 +332,9 @@ def _check_frame(p: np.ndarray, predicted: np.ndarray, n_steps: int, where: str)
 
 
 def _hermitian_copy(rho0: np.ndarray) -> np.ndarray:
-    """(ρ₀ + ρ₀†)/2 as a new C-ordered array: |ψ⟩⟨ψ| of a complex ψ is Hermitian
-    only to roundoff, RK4 keeps whatever asymmetry the start has, and the steps read
-    ρ through reshaped views."""
+    """(ρ₀ + ρ₀†)/2 as a new C-ordered array: |ψ⟩⟨ψ| of a complex ψ, like a closed
+    run's final X·X†, is Hermitian only to roundoff, RK4 keeps whatever asymmetry
+    its start has, and its steps read ρ through reshaped views."""
     rho = np.array(rho0, dtype=complex, order="C")
     rho += rho.conj().T
     rho *= 0.5
@@ -357,11 +343,15 @@ def _hermitian_copy(rho0: np.ndarray) -> np.ndarray:
 
 def _rk4_stepper(
     lindbladian: _Lindbladian, s: np.ndarray, delta: float, dt: float, rho0: np.ndarray
-) -> tuple[np.ndarray, Callable[[float], None]]:
-    """The state ρ and the RK4 step from t0 that updates it in place (see :func:`evolve_lindblad`).
+) -> tuple[Callable[[float], np.ndarray], Callable[[float], complex]]:
+    """ρ at any t (the one array the step updates) and the RK4 step from t0, which returns Tr ρ.
 
     ``lindbladian`` is built before the state: its weight tables pass
-    through temporaries of several dim².
+    through temporaries of several dim².  The start's (ρ + ρ†)/2 is exactly
+    Hermitian, and the step keeps it so bit for bit: E + E† is formed as
+    conj(Eᵀ) + E, every dissipator channel is added with symmetric weights in
+    the same order at (i, k) and (k, i), and the stages mix with real scalars
+    only.  A change to any of these must restore a per-step symmetrisation.
     """
     lindbladian.drive(s, delta)
     rho = _hermitian_copy(rho0)
@@ -372,7 +362,7 @@ def _rk4_stepper(
     rhs_stage = lindbladian.bind(stage, k)
     half_dt = 0.5 * dt
 
-    def advance(t0: float) -> None:
+    def advance(t0: float) -> complex:
         nonlocal acc, k, rho  # updated in place, never rebound to another array
         # ρ + (dt/6)·(k1 + 2·k2 + 2·k3 + k4), summed in acc
         at(t0)
@@ -389,42 +379,57 @@ def _rk4_stepper(
         acc += k
         acc *= dt / 6.0
         rho += acc
+        return np.trace(rho)
 
-    return rho, advance
+    return lambda t: rho, advance
 
 
-def _exact_stepper(
+def _factor(rho0: np.ndarray) -> np.ndarray:
+    """X of shape (dim, r) with X·X† = ρ₀, by a pivoted Cholesky: r = 1 for a pure ρ₀.
+
+    Each column is the residual ρ₀ − X·X† at its largest diagonal entry's column, over
+    that entry's root.  Once none exceeds dim·ε·max(diag ρ₀), what is left is dropped:
+    a pure start's roundoff, or a negative part, which QuantumState admits to −1e-8.
+    """
+    diag = rho0.diagonal().real.copy()
+    tol = diag.size * np.finfo(float).eps * diag.max()
+    x = np.empty((diag.size, 0), dtype=complex)
+    for _ in range(diag.size):
+        k = int(np.argmax(diag))
+        if not diag[k] > tol:
+            break
+        col = (rho0[:, k] - x @ x[k].conj()) / math.sqrt(diag[k])
+        diag -= col.real**2 + col.imag**2
+        x = np.column_stack((x, col))
+    return x
+
+
+def _closed_stepper(
     s: np.ndarray, delta: float, d: int, dt: float, rho0: np.ndarray
-) -> tuple[np.ndarray, Callable[[float], None]]:
-    """The state ρ and the exact step ρ ← U_n·ρ·U_n† of a closed system, whatever t0.
+) -> tuple[Callable[[float], np.ndarray], Callable[[float], complex]]:
+    """The lab-frame factor X(t) of ρ = X·X† and the exact step from t0, which returns Tr ρ.
 
     In the frame V(t) = e^{−iδt·n̂} the generator is the constant H̃ = H(0) − δ·n̂,
-    so U_n = V(n·dt)·e^{−i·dt·H̃}·V((n−1)·dt)†; U_1 is formed before the state.
+    so a step is X̃ ← W·X̃ with W = e^{−i·dt·H̃}, formed before the factor.
+    X(t) = V(t)·X̃ takes its phases from t, so no roundoff compounds in them.
     """
     dim = s.shape[0] * d
     fock = np.arange(dim) % d
     h = _dense_drive(s, d)
     h.reshape(-1)[:: dim + 1] -= delta * fock
     h *= -1j * dt
-    u = matexp(h)
-    del h
-    u *= np.exp(-1j * delta * dt * fock)[:, None]  # V(dt)·e^{−i·dt·H̃}
-    # Φ∘U_n = V(dt)·U_n·V(dt)†, one exp per entry: the outer product of V(dt)'s phases is off
-    # unit modulus by up to 2ε, which the steps compound (trajectory: 3.8e-12, not 1.9e-14)
-    phi = np.exp(-1j * delta * dt * (fock[:, None] - fock[None, :]))
-    rho = _hermitian_copy(rho0)
-    x, y = np.empty_like(rho), np.empty_like(rho)
+    w = matexp(h)
+    x = _factor(rho0)
 
-    def advance(t0: float) -> None:
-        nonlocal rho, u  # updated in place, never rebound to another array
-        np.matmul(u, rho, out=x)
-        # U·(U·ρ)† = U·ρ·U†, since ρ is Hermitian
-        np.matmul(u, np.conjugate(x.T, out=y), out=rho)
-        rho += np.conjugate(rho.T, out=x)
-        rho *= 0.5
-        u *= phi
+    def advance(t0: float) -> complex:
+        nonlocal x
+        x = w @ x
+        return np.vdot(x, x)
 
-    return rho, advance
+    def lab(t: float) -> np.ndarray:
+        return np.exp(-1j * delta * t * fock)[:, None] * x
+
+    return lab, advance
 
 
 def evolve_lindblad(
@@ -466,29 +471,11 @@ def evolve_lindblad(
         Optional named Hermitian operators on the joint space; their real
         expectation values Re Tr(Oρ) are recorded alongside the fidelity.
 
-    Every 10th record also stores the minimum eigenvalue of ρ in
-    ``positivity_checks``; the full ``eigvalsh`` costs more than the rest of a
-    record, so it is not taken on every one.
-
-    With any rate, or above dim 192, a step is RK4 in three dim×dim scratch
-    arrays: ``acc`` takes k1, ``k`` each later stage and ``stage`` the next
-    stage state, formed from k before w·k (w = 2, 2, 1) is added to acc;
-    then ρ += (dt/6)·acc.  The right-hand side is bound once to (ρ, acc) and
-    once to (stage, k), and its drive block is written once per distinct
-    stage time: t0, t0 + dt/2 (k2 and k3) and t0 + dt.  With no rates, up to
-    dim 192, a step is exact: ρ ← U_n·ρ·U_n†, with
-    U_1 = V(dt)·e^{−i·dt·(H(0) − δ·n̂)} from one
-    :func:`~geomgate.core.matexp` per run and U_{n+1} = Φ∘U_n,
-    Φ[i, k] = e^{−iδ·dt·(n_i − n_k)}, so ρ stays in the lab frame.
-
-    The initial ρ is replaced by (ρ + ρ†)/2 once, which is exactly Hermitian.
-    RK4 keeps it so, bit for bit, with no re-symmetrisation per step: a
-    right-hand side forms E + E† as conj(Eᵀ) + E, whose (i, k) and (k, i)
-    entries are conjugate sums of the same two numbers; every dissipator
-    channel is added uniformly, with symmetric weights w[i, k] = w[k, i], in
-    the same order at (i, k) and (k, i); and RK4 mixes the stages with real
-    scalars only.  A change to any of these must restore the per-step
-    symmetrisation, which the exact step, Hermitian only to roundoff, takes.
+    With any rate, a step is RK4 on ρ (:func:`_rk4_stepper`), and every 10th
+    record stores the minimum eigenvalue of ρ in ``positivity_checks``.  With
+    no rates, a step is exact on a factor of ρ = X·X† (:func:`_closed_stepper`):
+    no dim×dim ρ is held while it steps, ρ is positive by construction, so no
+    eigenvalue is taken, and ``final_rho`` is (X·X† + (X·X†)†)/2, formed once.
 
     Raises
     ------
@@ -533,10 +520,11 @@ def evolve_lindblad(
         predicted = cmath.exp(1j * delta * t) * s
         _check_frame(_finite_drive(h_of_t, t, where), predicted, n_steps, f"{where} t={t:.6g}")
 
-    if rates.any_active or dim > _EXACT_MAX_DIM:
-        rho, advance = _rk4_stepper(_Lindbladian(space, rates), s, delta, dt, initial.rho)
+    closed = not rates.any_active
+    if closed:
+        lab, advance = _closed_stepper(s, delta, space.cavity_dim, dt, initial.rho)
     else:
-        rho, advance = _exact_stepper(s, delta, space.cavity_dim, dt, initial.rho)
+        lab, advance = _rk4_stepper(_Lindbladian(space, rates), s, delta, dt, initial.rho)
     times: list[float] = []
     fids: list[float] = []
     traces: list[float] = []
@@ -544,25 +532,32 @@ def evolve_lindblad(
     obs_records: dict[str, list[float]] = {name: [] for name, _ in obs_items}
     positivity: list[tuple[float, float]] = []
 
-    def record(t: float, tr: complex) -> None:
+    def record(t: float) -> None:
+        a = lab(t)
+        # ρ and X†X share their trace and Tr(·²); a closed run's a is X, with ρ = X·X†
+        gram = a.conj().T @ a if closed else a
         times.append(t)
-        traces.append(float(tr.real))
-        purities.append(float(np.vdot(rho, rho).real))
+        traces.append(float(np.trace(gram).real))
+        purities.append(float(np.vdot(gram, gram).real))
         if target is not None:
-            reduced = _reduced_qubit_rho(rho, space.n_qubits, space.cavity_dim)
+            if closed:
+                m = a.reshape(q, -1)  # ρ_a = M·M† for X as M of shape (2^N, d·r)
+                reduced = m @ m.conj().T
+            else:
+                reduced = _reduced_qubit_rho(a, space.n_qubits, space.cavity_dim)
             fids.append(float(np.real(np.vdot(target, reduced @ target))))
         else:
             fids.append(math.nan)
         for name, op in obs_items:
-            # Re Σ conj(O[i, k])·ρ[i, k] = Re Tr(O†·ρ) = Re Tr(O·ρ), since ρ is Hermitian
-            obs_records[name].append(float(np.vdot(op, rho).real))
-        if (len(times) - 1) % 10 == 0:
-            positivity.append((t, float(np.linalg.eigvalsh(rho)[0])))
+            # Re Tr(O·ρ): Re⟨X, O·X⟩, or Re Σ conj(O[i, k])·ρ[i, k] since ρ is Hermitian
+            value = np.vdot(a, op @ a) if closed else np.vdot(op, a)
+            obs_records[name].append(float(value.real))
+        if not closed and (len(times) - 1) % 10 == 0:
+            positivity.append((t, float(np.linalg.eigvalsh(a)[0])))
 
-    record(0.0, np.trace(rho))
+    record(0.0)
     for step in range(1, n_steps + 1):
-        advance((step - 1) * dt)
-        tr = np.trace(rho)
+        tr = advance((step - 1) * dt)
         if not np.isfinite(tr.real) or not np.isfinite(tr.imag):
             raise IntegratorError(
                 f"non-finite trace at step {step}/{n_steps} (t={step * dt:.6g})"
@@ -573,15 +568,16 @@ def evolve_lindblad(
                 f"(t={step * dt:.6g}); reduce dt or cavity load"
             )
         if step % stride == 0 or step == n_steps:
-            record(step * dt, tr)
+            record(step * dt)
 
+    rho = lab(t_end)
     return EvolutionResult(
         times=np.asarray(times),
         fidelities=np.asarray(fids),
         traces=np.asarray(traces),
         purities=np.asarray(purities),
         observables={name: np.asarray(vals) for name, vals in obs_records.items()} or None,
-        final_rho=rho,
+        final_rho=_hermitian_copy(rho @ rho.conj().T) if closed else rho,
         positivity_checks=positivity,
     )
 
@@ -658,10 +654,11 @@ def evolve_unitary(
     2·log₂N dim×dim products, whatever the array, and no eigendecomposition
     is taken.  U_1 exponentiates the dense H(dt/2) of :func:`_dense_drive`.
 
-    The provider is called three times: at t=0 for the shape, at the first
-    midpoint for U_1 and at the last midpoint, where P must match the frame's
-    prediction e^{iδ(N−1)dt}·R(dt)^{N−1}·P(dt/2)·R(dt)^{N−1}†, the P that the
-    last factor of the product stands for, to within
+    The provider is called four times: at t=0 for the shape, at the first
+    midpoint for U_1, and at the midpoints n = ⌈N/φ⌉ (φ the golden ratio) and
+    n = N, where P must match the frame's prediction
+    e^{iδ(n−1)dt}·R(dt)^{n−1}·P(dt/2)·R(dt)^{n−1}†, the P that the n-th
+    factor of the product stands for, to within
     (1e-9 + 16·N·ε)·max(1, max|P|).  The N·ε term covers the roundoff that
     R(dt)^{N−1} accumulates (at most 3.2·N·ε measured with up to 6 qubits and
     N = 4·10⁶ steps); a wrong frame departs by far more.
@@ -672,9 +669,9 @@ def evolve_unitary(
         If the columns of ``initial`` are not orthonormal (a state not
         normalized) to 1e-8, P(t) is not square with a size dividing dim, or
         the provider carries no finite ``frame`` with a Hermitian G, or
-        departs from it at the last midpoint.
+        departs from it at a checked midpoint.
     IntegratorError
-        On a non-finite P(t) at the first or last midpoint, a non-finite
+        On a non-finite P(t) at a midpoint it reads, a non-finite
         result, or if max|X†X − I| drifts beyond 1e-8.
     """
     x = np.asarray(initial, dtype=complex)
@@ -691,11 +688,13 @@ def evolve_unitary(
     p_first = _finite_drive(h_of_t, 0.5 * dt, "the first midpoint")
     r = matexp(-1j * dt * g)
 
-    t_last = (n_steps - 0.5) * dt
-    p_last = _finite_drive(h_of_t, t_last, "the last midpoint")
-    r_last = np.linalg.matrix_power(r, n_steps - 1)
-    predicted = np.exp(1j * delta * (n_steps - 1) * dt) * (r_last @ p_first @ r_last.conj().T)
-    _check_frame(p_last, predicted, n_steps, f"the last midpoint t={t_last:.6g}")
+    # midpoint ⌈N/φ⌉ lies off the grid's simple fractions; the last pass leaves R(dt)^{N−1}
+    for where, n in (("mid-run", math.ceil(n_steps * 2.0 / (1.0 + math.sqrt(5.0)))),
+                     ("the last midpoint", n_steps)):
+        t = (n - 0.5) * dt
+        r_last = np.linalg.matrix_power(r, n - 1)
+        predicted = np.exp(1j * delta * (n - 1) * dt) * (r_last @ p_first @ r_last.conj().T)
+        _check_frame(_finite_drive(h_of_t, t, where), predicted, n_steps, f"{where} t={t:.6g}")
 
     # V(dt)† on the Fock levels: e^{iδ·dt·n}
     back = np.exp(1j * delta * dt * np.arange(d))

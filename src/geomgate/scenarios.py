@@ -76,8 +76,8 @@ DEFAULT_OMEGA_SCAN = (25.0, 50.0, 100.0, 200.0)
 _MAX_STEPS = 4_000_000
 # Largest dt·Λ a Lindblad plan may take, with Λ the generator bound of _plan.  RK4's
 # stability region holds the left half-disk of radius 2.6156 about the origin, and
-# the Lindbladian's spectrum lies in the left half-plane within |z| ≤ Λ.  The exact
-# closed-system step needs no such bound; see _plan for why no-rate plans keep it.
+# the Lindbladian's spectrum lies in the left half-plane within |z| ≤ Λ.  A no-rate
+# run steps exactly at every dim and needs no such bound; see _plan for why it keeps it.
 _MAX_DT_NORM = 2.5
 # Largest joint dimension 2^N·d a run may allocate (N=6, d=32): far larger ones
 # would fail in a dense allocation with a MemoryError instead of a SpecError.
@@ -237,10 +237,10 @@ def _plan(
     bounds the norm of the Lindbladian, and so its spectral radius: 2·‖H‖ for
     the commutator, with ‖H‖ ≤ 2·Σ_j|η_j|·‖a‖ and ‖a‖ = √(d−1), and
     4·(rate/2)·‖A‖² for each L(A).  Below 2.5 every dt·λ lies inside RK4's
-    stability region.  The integrator chooses its step; where it takes the
-    exact closed-system step, stable at any dt, the bound is only a dt bound,
-    kept so that such plans are refused (exit 2) as before.  It guards no
-    truncation: `trajectory --delta-over-eta 0.05` is refused, but adding
+    stability region.  A no-rate run steps a factor of ρ exactly, stable at
+    any dt, so for it the bound is only a dt bound, kept so that such plans
+    are refused (exit 2) as before.  It guards no truncation:
+    `trajectory --delta-over-eta 0.05` is refused, but adding
     `--dt-over-eta 0.01` passes with the same branch mean photon number
     (2/δ)² = 1600 far past d = 16; only a Fock truncation check would catch it.
     """

@@ -659,12 +659,13 @@ class TestRotatingFrameOracle:
 
 
 class TestExactClosedStep:
-    """A zero-rate run steps ρ ← U_n·ρ·U_n† in the drive's frame: exact to roundoff at any dt.
+    """A zero-rate run steps a factor of ρ = X·X† by W = e^{−i·dt·(H(0) − δ·n̂)}: exact to roundoff.
 
     Each tolerance, 1e-12, was stated before the run from the trajectory's
     1.9e-14 over 512 steps.  The seeded run read 2.7e-15 against the oracle,
     and halving dt moved no record by more than 1.2e-14.  RK4 on the same run
-    read 5.7e-8, and halving dt moved its records by 5.4e-8.
+    read 5.7e-8, and halving dt moved its records by 5.4e-8.  The step takes
+    no other path at any dim.
     """
 
     def _run(self, k):
@@ -693,8 +694,12 @@ class TestExactClosedStep:
         np.testing.assert_allclose(fine.times, coarse.times, rtol=0, atol=1e-12)
         assert np.abs(fine.fidelities - coarse.fidelities).max() <= 1e-12
 
-    @pytest.mark.parametrize("n_steps", [10, 1000])
-    def test_one_exponential_and_no_lindbladian(self, monkeypatch, n_steps):
+    @pytest.mark.parametrize(
+        "n_steps,space",
+        [(10, HilbertSpace(2, 4)), (1000, HilbertSpace(2, 4)), (10, HilbertSpace(1, 97))],
+        ids=["10", "1000", "dim194"],
+    )
+    def test_one_exponential_and_no_lindbladian(self, monkeypatch, n_steps, space):
         shapes = []
 
         def counted(a):
@@ -706,10 +711,9 @@ class TestExactClosedStep:
 
         monkeypatch.setattr(dynamics, "matexp", counted)
         monkeypatch.setattr(dynamics, "_Lindbladian", refused)
-        space = HilbertSpace(2, 4)
-        provider = hamiltonian_h2_provider(DriveParams((1.0, 0.8), (0.3, -0.5), 4.0), space)
+        drive = DriveParams((1.0, 0.8)[: space.n_qubits], (0.3, -0.5)[: space.n_qubits], 4.0)
         evolve_lindblad(
-            provider,
+            hamiltonian_h2_provider(drive, space),
             DecoherenceRates(),
             QuantumState.from_pure(space, ground_state(space)),
             None,
@@ -717,26 +721,85 @@ class TestExactClosedStep:
         )
         assert shapes == [(space.dim, space.dim)]
 
-    @pytest.mark.parametrize("cavity_dim, exponentials", [(96, 1), (97, 0)])
-    def test_rk4_above_dim_192(self, monkeypatch, cavity_dim, exponentials):
-        # N=1: dim 192 takes the exact step; above it its dim³ products can cost more than RK4
-        shapes = []
+    def test_takes_no_eigenvalue(self, monkeypatch):
+        # ρ = X·X† is positive by construction, so no record takes an eigvalsh or an eigh
+        def refused(*args, **kwargs):
+            raise AssertionError("a zero-rate run took an eigendecomposition")
 
-        def counted(a):
-            shapes.append(a.shape)
-            return matexp(a)
-
-        monkeypatch.setattr(dynamics, "matexp", counted)
-        space = HilbertSpace(1, cavity_dim)
-        provider = hamiltonian_h2_provider(DriveParams((1.0,), (0.3,), 4.0), space)
-        evolve_lindblad(
-            provider,
-            DecoherenceRates(),
-            QuantumState.from_pure(space, ground_state(space)),
-            None,
-            IntegratorConfig(dt=0.01, t_end=0.02, record_stride=2),
+        space = HilbertSpace(2, 4)
+        # built before the patch: QuantumState checks its eigenvalues, the oracle takes an eigh
+        initial = QuantumState.from_pure(space, ground_state(space))
+        target = _gate_target(2)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        provider = hamiltonian_h2_provider(DriveParams((1.0, 0.8), (0.3, -0.5), 4.0), space)
+        x = embed(annihilation(4) + annihilation(4).T, CAVITY, space)
+        cfg = IntegratorConfig(dt=loop_time(4.0) / 200, t_end=loop_time(4.0), record_stride=7)
+        result = evolve_lindblad(
+            provider, DecoherenceRates(), initial, target, cfg, observables={"x": x}
         )
-        assert len(shapes) == exponentials
+        assert result.positivity_checks == []
+
+
+class TestClosedFactor:
+    """_factor(ρ₀) = X with X·X† = ρ₀, each tolerance stated before the run.
+
+    Entries of ρ₀ are at most 1 and each column is a few ε off, so 1e-15
+    bounds a pure start and the maximally mixed one, and 1e-14 a seeded
+    rank-2 and a full-rank ρ₀ at dim 8.
+    """
+
+    @staticmethod
+    def _gap(rho, x):
+        return float(np.abs(rho - x @ x.conj().T).max())
+
+    def test_pure_start_gives_one_column(self):
+        rng = np.random.default_rng(3)
+        psi = rng.normal(size=24) + 1j * rng.normal(size=24)
+        rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        x = dynamics._factor(rho)
+        assert x.shape == (24, 1)
+        assert self._gap(rho, x) <= 1e-15
+
+    def test_maximally_mixed(self):
+        rho = np.eye(4, dtype=complex) / 4.0
+        x = dynamics._factor(rho)
+        assert x.shape == (4, 4)
+        assert self._gap(rho, x) <= 1e-15
+
+    @pytest.mark.parametrize("rank", [2, 8])
+    def test_seeded_mixed_start(self, rank):
+        rng = np.random.default_rng(rank)
+        v = rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
+        rho = v @ v.conj().T
+        rho /= np.trace(rho).real
+        x = dynamics._factor(rho)
+        assert x.shape == (8, rank)
+        assert self._gap(rho, x) <= 1e-14
+
+    def test_negative_eigenvalue_is_dropped_and_the_trace_check_holds(self):
+        # QuantumState admits an eigenvalue down to −1e-8.  With one at −1e-9, the first 7
+        # pivots take the positive part and the factor drops the Schur complement left at the
+        # 8th, the single diagonal entry 1/(ρ₀⁻¹)_kk < 0: stated |·| ≤ 1e-7, and every other
+        # entry of ρ₀ − X·X† at most 1e-15.  Tr(X·X†) then exceeds 1 by its magnitude, far
+        # inside the 1e-6 trace check
+        rng = np.random.default_rng(11)
+        u, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        weights = np.append(rng.dirichlet(np.ones(7)) * (1.0 + 1e-9), -1e-9)
+        space = HilbertSpace(1, 4)
+        initial = QuantumState(space, (u * weights) @ u.conj().T)
+        x = dynamics._factor(initial.rho)
+        assert x.shape == (8, 7)
+        dropped = initial.rho - x @ x.conj().T
+        k = int(np.argmax(np.abs(dropped.diagonal())))
+        assert dropped[k, k].real == pytest.approx(1.0 / np.linalg.inv(initial.rho)[k, k].real)
+        assert -1e-7 <= dropped[k, k].real < 0
+        dropped[k, k] = 0.0
+        assert np.abs(dropped).max() <= 1e-15
+        provider = hamiltonian_h2_provider(DriveParams((1.0,), (0.3,), 4.0), space)
+        cfg = IntegratorConfig(dt=loop_time(4.0) / 200, t_end=loop_time(4.0))
+        result = evolve_lindblad(provider, DecoherenceRates(), initial, None, cfg)
+        assert np.abs(result.traces - 1.0).max() <= 1e-7
 
 
 def _final_rho_from_random_start(
@@ -771,8 +834,8 @@ def _final_rho_from_random_start(
 
 
 class TestExactHermiticity:
-    """evolve_lindblad's ρ is Hermitian bit for bit: RK4 keeps it so with no per-step
-    re-symmetrisation, and the exact closed-system step takes (ρ + ρ†)/2 after each step."""
+    """evolve_lindblad's final ρ is Hermitian bit for bit: RK4 keeps it so with no per-step
+    re-symmetrisation, and a closed run forms (X·X† + (X·X†)†)/2 once, at the end."""
 
     @pytest.mark.parametrize("driven", [False, True], ids=["dissipator", "drive"])
     @pytest.mark.parametrize("n_qubits,cavity_dim", [(2, 6), (3, 5), (1, 8)])
@@ -824,6 +887,24 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert peak <= 15 * space.dim**2 * np.dtype(complex).itemsize
+
+    def test_tracemalloc_peak_without_rates(self):
+        # a closed run at dim 256 peaks in matexp's build, at 5 dim×dim arrays: −i·dt·H̃, its
+        # scaled copy, the running sum, the old and the new Taylor term.  Then W alone, a
+        # (dim, 1) factor while it steps, and at the end W, X·X†, its Hermitian copy and
+        # one conjugate: 4.  Stated: 6, which one dim×dim ρ held through the steps breaks
+        space = HilbertSpace(1, 128)
+        provider = hamiltonian_h2_provider(DriveParams((1.0,), (0.0,), 4.0), space)
+        initial = QuantumState.from_pure(space, ground_state(space))
+        tau = loop_time(4.0)
+        cfg = IntegratorConfig(dt=tau / 200, t_end=tau / 20)
+        tracemalloc.start()
+        try:
+            evolve_lindblad(provider, DecoherenceRates(), initial, np.eye(2)[0], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * space.dim**2 * np.dtype(complex).itemsize
 
 
 class TestEvolveUnitary:
@@ -912,12 +993,12 @@ class TestEvolveUnitary:
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("initial", [np.eye(4)[0], np.eye(4)[:, :2]], ids=["vector", "block"])
     def test_non_finite_hamiltonian_aborts_with_step(self, bad, initial):
-        # the run reads P at the first and the last midpoint only; this P is finite at
-        # the first (0.05) and holds one bad entry from t > 0.2, so at the last (0.45)
+        # the run reads P at midpoints 1, ⌈5/φ⌉ = 4 and 5 only; this P is finite at the
+        # first two (0.05, 0.35) and holds one bad entry from t > 0.4, so at the last (0.45)
         zero = np.zeros((2, 2), dtype=complex)
         p_bad = zero.copy()
         p_bad[1, 0] = bad
-        provider = _with_frame(lambda t: p_bad if t > 0.2 else zero, (0.0, zero))
+        provider = _with_frame(lambda t: p_bad if t > 0.4 else zero, (0.0, zero))
         with pytest.raises(IntegratorError, match="non-finite Hamiltonian at the last midpoint"):
             evolve_unitary(provider, initial, IntegratorConfig(dt=0.1, t_end=0.5))
 
@@ -946,6 +1027,22 @@ class TestEvolveUnitary:
         evolve_unitary(h1, ground_state(space), cfg)
         with pytest.raises(ValueError, match="departs from the provider's frame"):
             evolve_unitary(wrong, ground_state(space), cfg)
+
+    def test_rejects_provider_that_leaves_its_frame_mid_run(self):
+        # H₂ plus sin(π(t − dt/2)/(t_last − dt/2))·I departs by up to 1.0 mid-run and vanishes
+        # at the first and the last midpoint; checked there alone, it ran as plain H₂ bit for bit
+        space = HilbertSpace(2, 8)
+        drive = DriveParams((1.0, 0.8), (0.3, -0.5), 4.0)
+        h2 = hamiltonian_h2_provider(drive, space)
+        cfg = IntegratorConfig(dt=default_dt(drive), t_end=loop_time(4.0))
+        dt = cfg.dt_effective
+        t_last = (cfg.n_steps - 0.5) * dt
+        eye = np.eye(4, dtype=complex)
+        bump = _with_frame(
+            lambda t: h2(t) + math.sin(math.pi * (t - dt / 2) / (t_last - dt / 2)) * eye, h2.frame
+        )
+        with pytest.raises(ValueError, match="departs from the provider's frame .* at mid-run"):
+            evolve_unitary(bump, ground_state(space), cfg)
 
 
 def _seeded_drive(n_qubits, omega, seed):

@@ -282,6 +282,16 @@ class TestTrajectoryScenario:
         assert c.read_bytes() == d.read_bytes()
 
 
+    def test_large_cavity_stays_at_roundoff(self, tmp_path):
+        # d = 128, dim 256: the zero-rate step is exact at every dim, where RK4 read 5.57e-12
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        spec = ScenarioSpec(kind="trajectory", cavity_dim=128)
+        summary = run_trajectory(replace(spec, output_path=str(a)))
+        run_trajectory(replace(spec, output_path=str(b)))
+        assert summary["max_sim_deviation"] < 1e-12
+        assert a.read_bytes() == b.read_bytes()
+
+
 class TestGhzSweepScenario:
     def test_fidelity_decreases_with_decay_ratio(self, tmp_path):
         spec = ScenarioSpec(
@@ -335,11 +345,12 @@ class TestRwaScanScenario:
         assert summary["points"][0]["infidelity"] < 1e-5
 
     def test_unitary_runs_read_the_provider_a_fixed_number_of_times(self, tmp_path, monkeypatch):
-        # a structural guard without timing: each evolve_unitary call reads P(t) three
-        # times (the shape at t=0, the first and the last midpoint) and takes two
-        # matexp, U_1 and R(dt), however many steps it plans, so two Ω-points make
-        # 2·2·3 = 12 reads and 2·2·2 = 8 exponentials, and no eigh is reached.  H₂ does
-        # not depend on Ω, so one H₂ provider serves both points, next to one H₁ each
+        # a structural guard without timing: each evolve_unitary call reads P(t) four
+        # times (the shape at t=0, the first midpoint, and the midpoints ⌈N/φ⌉ and N, where
+        # P is checked against the frame) and takes two matexp, U_1 and R(dt), however many
+        # steps it plans, so two Ω-points make 2·2·4 = 16 reads and 2·2·2 = 8 exponentials,
+        # and no eigh is reached.  H₂ does not depend on Ω, so one H₂ provider serves both
+        # points, next to one H₁ each
         reads, plans, exponentials, builds = [], [], [], []
 
         def counting(build):
@@ -384,7 +395,7 @@ class TestRwaScanScenario:
             run_rwa_scan(spec, omega_values=(50.0, 100.0))
             counts.append((len(reads), len(exponentials), sorted(builds)))
         once = sorted(["hamiltonian_h2_provider"] + ["hamiltonian_h1_provider"] * 2)
-        assert counts == [(12, 8, once), (12, 8, once)]
+        assert counts == [(16, 8, once), (16, 8, once)]
         assert plans == [2500, 2500, 5000, 5000, 15708, 15708, 15708, 15708]
 
 
