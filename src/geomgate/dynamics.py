@@ -570,14 +570,14 @@ def evolve_lindblad(
         if step % stride == 0 or step == n_steps:
             record(step * dt)
 
-    rho = lab(t_end)
+    a = lab(t_end)
     return EvolutionResult(
         times=np.asarray(times),
         fidelities=np.asarray(fids),
         traces=np.asarray(traces),
         purities=np.asarray(purities),
         observables={name: np.asarray(vals) for name, vals in obs_records.items()} or None,
-        final_rho=_hermitian_copy(rho @ rho.conj().T) if closed else rho,
+        final_rho=_hermitian_copy(a @ a.conj().T) if closed else a,
         positivity_checks=positivity,
     )
 

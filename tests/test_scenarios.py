@@ -281,7 +281,6 @@ class TestTrajectoryScenario:
         run_ghz_sweep(replace(ghz, output_path=str(d)), m_values=(2.0, 1.0, 0.5))
         assert c.read_bytes() == d.read_bytes()
 
-
     def test_large_cavity_stays_at_roundoff(self, tmp_path):
         # d = 128, dim 256: the zero-rate step is exact at every dim, where RK4 read 5.57e-12
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
