@@ -12,11 +12,17 @@ H(t+s) = V(s)·H(t)·V(s)†, with V(s) = e^{−isG} ⊗ e^{−iδs·n̂}; each 
 frame against late calls of the provider.
 
 The master equation takes G = 0, so P(t) = e^{iδt}·P(0), and a fixed step
-plan.  With rates, each step is classical 4th-order RK4 on the full density
-matrix, from one generator built once per run (:class:`_Lindbladian`) with no
-dense H(t).  Without rates, ρ₀ = X·X† is factored once, one column for a pure
-start, and each step is exact: X̃ ← W·X̃ with W = e^{−i·dt·(H(0) − δ·n̂)} from
-one exponential; a record reads the lab-frame X = e^{−iδt·n̂}·X̃.
+plan.  With rates, each step is classical 4th-order RK4 from one generator
+built once per run, with no dense H(t), on one of two states.  When S = P(0)
+and ρ₀ are unchanged by every qubit permutation (equal couplings and phases,
+a symmetric start), no observable is recorded, N ≥ 3 and dim ≥ 32, ρ stays
+⊕_j ρ_j ⊗ I_{deg_j} in a Dicke basis, and the state is the blocks ρ_j of
+(2j+1)·d rows each (:mod:`geomgate.dicke`): 35 register pairs × d² at N = 4
+instead of 256 × d².  Otherwise it is the full density matrix
+(:class:`_Lindbladian`).  Without rates, ρ₀ = X·X† is factored once, one
+column for a pure start, and each step is exact: X̃ ← W·X̃ with
+W = e^{−i·dt·(H(0) − δ·n̂)} from one exponential; a record reads the
+lab-frame X = e^{−iδt·n̂}·X̃.  Each state supplies the record's readings.
 
 State propagation takes the midpoint rule, steps exp(−i·dt·H(t_mid)),
 but forms only the first step: under the frame the product of all N steps is
@@ -31,11 +37,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
 from .core import HilbertSpace, QuantumState, _reduced_qubit_rho, matexp
+
+if TYPE_CHECKING:
+    from .dicke import DickeLindbladian
 
 __all__ = [
     "DecoherenceRates",
@@ -164,29 +173,106 @@ class EvolutionResult:
         return float(self.fidelities[-1])
 
 
-class _Lindbladian:
+class _Drive:
+    """ρ ↦ E + E†, E = −i·H·ρ, for the drive H = P⊗a + P†⊗a† on a q-state register.
+
+    E is formed without H: a and a† act on the C-ordered ρ as two √n-weighted
+    moves by one Fock level, stacked into T = [aρ; a†ρ] of shape (2q, size/q),
+    and E = A·T with the q × 2q drive block A = −i·[P, P†].  The drive is
+    P(t) = e^{iδt}·S (:meth:`drive`), so :meth:`at` writes A for a stage time t
+    as e^{iδt}·(−i·S) and e^{−iδt}·(−i·S†), two scalar multiplies; without a
+    drive, A = 0.
+
+    ρ is one dense (q·d)² matrix, laid out (m, n, m', n') for register states
+    m, m' and Fock levels n, n', or, ``pair_major``, one block of a
+    permutation-invariant ρ laid out (m, m', n, n').  The register index m
+    leads in both, so A·T is one product; E† reads E through the transpose
+    that swaps m with m' and n with n'.
+    """
+
+    def __init__(self, q: int, d: int, pair_major: bool = False) -> None:
+        size = (q * d) ** 2
+        self._shape = (q, q, d, d) if pair_major else (q, d, q, d)
+        self._adjoint = (1, 0, 3, 2) if pair_major else (2, 3, 0, 1)
+        # entries from one Fock level n to the next: aρ is ρ moved up this far and a†ρ moved
+        # down, both weighted by √n of the row they land in, which is 0 where a move would
+        # cross into the next register index (everywhere at d = 1).  Complex: no cast per product.
+        self._row = row = d if pair_major else q * d
+        self._sqrt_n = np.repeat(np.sqrt(np.arange(size // row) % d + 0j), row)[row:]
+        # T flattened; the row each shift leaves empty stays zero
+        self._shifts = np.zeros((2, size), dtype=complex)
+        self._stacked = self._shifts.reshape(2 * q, size // q)
+        self._e = np.empty(size, dtype=complex)
+        self._e_rows = self._e.reshape(q, size // q)
+        self._a = np.zeros((q, 2 * q), dtype=complex)
+        self._a_p, self._a_p_adj = self._a[:, :q], self._a[:, q:]
+        self.drive(np.zeros((q, q), dtype=complex), 0.0)
+
+    def drive(self, s: np.ndarray, delta: float) -> None:
+        """Take the drive P(t) = e^{iδt}·S, with S the q×q register matrix P(0)."""
+        self._iw = 1j * delta
+        self._ms = -1j * s
+        self._ms_adj = -1j * s.conj().T
+
+    def at(self, t: float) -> None:
+        """Write the drive block A = −i·[P(t), P(t)†] for the stage time ``t``.
+
+        The phase is cmath.exp(iδ·t), as :func:`geomgate.model._drive_provider`
+        forms it, and e^{iδt}·(−i·S) rounds like −i·(e^{iδt}·S), since −i only
+        swaps and negates parts: for an H₂ provider, A equals the block formed
+        from its P(t) value for value (the sign of a zero may differ).
+        """
+        phase = cmath.exp(self._iw * t)
+        np.multiply(phase, self._ms, out=self._a_p)
+        np.multiply(phase.conjugate(), self._ms_adj, out=self._a_p_adj)
+
+    def bind(self, rho: np.ndarray, out: np.ndarray) -> Callable[[], np.ndarray]:
+        """E + E† from ``rho`` into ``out``, two C-ordered buffers of the layout's size.
+
+        Every view it reads is built here, once: the returned function takes
+        no argument, reads ``rho`` as it is at the call under the block of the
+        latest :meth:`at`, writes E + E† into ``out`` and returns ``out``.
+        """
+        if not (rho.flags.c_contiguous and out.flags.c_contiguous):
+            raise ValueError("the right-hand side binds C-ordered buffers only")
+        row, sqrt_n, a, stacked, e, e_rows = (
+            self._row, self._sqrt_n, self._a, self._stacked, self._e, self._e_rows
+        )
+        e_adj = e.reshape(self._shape).transpose(self._adjoint)
+        x, y, y4 = rho.reshape(-1), out.reshape(-1), out.reshape(self._shape)
+        up_out, up_in = self._shifts[0, :-row], x[row:]
+        down_out, down_in = self._shifts[1, row:], x[:-row]
+
+        def rhs() -> np.ndarray:
+            np.multiply(sqrt_n, up_in, out=up_out)
+            np.multiply(sqrt_n, down_in, out=down_out)
+            np.matmul(a, stacked, out=e_rows)
+            # -i[H, ρ] = E + E† for Hermitian H, ρ: one product, not two, and no -i pass
+            np.conjugate(e_adj, out=y4)
+            np.add(y, e, out=y)
+            return out
+
+        return rhs
+
+
+class _Lindbladian(_Drive):
     """ρ ↦ dρ/dt = E + E† + D(ρ) for the drive H = P⊗a + P†⊗a† and fixed rates.
 
-    E = −i·H·ρ is formed without H: a and a† act on C-ordered ρ as two
-    √n-weighted row shifts, stacked into T = [aρ; a†ρ] of shape
-    (2^(N+1), d·dim), and E = A·T with the 2^N × 2^(N+1) drive block
-    A = −i·[P, P†].  The drive is P(t) = e^{iδt}·S (:meth:`drive`), so
-    :meth:`at` writes A for a stage time t as e^{iδt}·(−i·S) and
-    e^{−iδt}·(−i·S†), two scalar multiplies; without a drive, A = 0.
-
-    D is N+2 shifted diagonals of vec(ρ).  With the layout i = q·d + n and
-    vec(ρ)[i·dim + k] = ρ[i, k] (C order), the decay anticommutators and the
-    full dephasing channel give the main diagonal; the jump σ_j⁻ρσ_j⁺ of qubit
-    j adds γ₁·ρ[i + b, k + b] to ρ[i, k] where qubit j is |0⟩ on both sides,
-    with b = 2^(N-j)·d; the cavity jump adds κ√((n+1)(n'+1))·ρ[i + 1, k + 1]
-    below the truncation edge.  Each channel keeps one complex weight array,
-    cut to the entries its offset reaches.  Per chunk, every channel whose
-    weights there are not all zero adds its product to ``out`` through one
-    ``term`` scratch, in ascending offset; the weights are symmetric,
-    w[i, k] = w[k, i], so (i, k) and (k, i) get equal sums.
+    E + E† is :class:`_Drive`'s on the dense ρ.  D is N+2 shifted diagonals of
+    vec(ρ).  With the layout i = q·d + n and vec(ρ)[i·dim + k] = ρ[i, k]
+    (C order), the decay anticommutators and the full dephasing channel give
+    the main diagonal; the jump σ_j⁻ρσ_j⁺ of qubit j adds γ₁·ρ[i + b, k + b] to
+    ρ[i, k] where qubit j is |0⟩ on both sides, with b = 2^(N-j)·d; the cavity
+    jump adds κ√((n+1)(n'+1))·ρ[i + 1, k + 1] below the truncation edge.  Each
+    channel keeps one complex weight array, cut to the entries its offset
+    reaches.  Per chunk, every channel whose weights there are not all zero
+    adds its product to ``out`` through one ``term`` scratch, in ascending
+    offset; the weights are symmetric, w[i, k] = w[k, i], so (i, k) and (k, i)
+    get equal sums.
 
     T, the E scratch, A and the chunk table are built once: one object per
     run.  :meth:`bind` builds every view one (input, output) pair needs, once.
+    The record readers (:meth:`norms` and the rest) read a dense ρ.
     """
 
     # entries per chunk: as fast per dissipator pass as 2¹⁴ at N = 4, d = 8 and 24
@@ -194,19 +280,8 @@ class _Lindbladian:
 
     def __init__(self, space: HilbertSpace, rates: DecoherenceRates) -> None:
         q, d, dim = space.qubit_dim, space.cavity_dim, space.dim
-        # √n of row i = q·d + n at every flat index i·dim + k of ρ past row 0.  aρ is ρ moved
-        # up one row and a†ρ is ρ moved down one row, both weighted by this slice, which is 0
-        # where a move would cross into the next register block (everywhere at d = 1).
-        # Complex: no cast per product.
-        self._sqrt_n = np.repeat(np.sqrt(np.arange(dim) % d + 0j), dim)[dim:]
-        # T flattened; the row each shift leaves empty stays zero
-        self._shifts = np.zeros((2, dim * dim), dtype=complex)
-        self._stacked = self._shifts.reshape(2 * q, d * dim)
-        self._e = np.empty((dim, dim), dtype=complex)
-        self._e_rows = self._e.reshape(q, d * dim)
-        self._a = np.zeros((q, 2 * q), dtype=complex)
-        self._a_p, self._a_p_adj = self._a[:, :q], self._a[:, q:]
-        self.drive(np.zeros((q, q), dtype=complex), 0.0)
+        super().__init__(q, d)
+        self._space = space
         # per chunk: (vec(ρ) start, [(input start, weights, term view)]); empty without rates
         self._chunks: list[tuple[int, list[tuple[int, np.ndarray, np.ndarray]]]] = []
         nq = space.n_qubits
@@ -242,24 +317,6 @@ class _Lindbladian:
             entries = [(start + off, w[start : start + self._CHUNK]) for off, w in weights]
             self._chunks.append((start, [(lo, w, term[: w.size]) for lo, w in entries if w.any()]))
 
-    def drive(self, s: np.ndarray, delta: float) -> None:
-        """Take the drive P(t) = e^{iδt}·S, with S the q×q register matrix P(0)."""
-        self._iw = 1j * delta
-        self._ms = -1j * s
-        self._ms_adj = -1j * s.conj().T
-
-    def at(self, t: float) -> None:
-        """Write the drive block A = −i·[P(t), P(t)†] for the stage time ``t``.
-
-        The phase is cmath.exp(iδ·t), as :func:`geomgate.model._drive_provider`
-        forms it, and e^{iδt}·(−i·S) rounds like −i·(e^{iδt}·S), since −i only
-        swaps and negates parts: for an H₂ provider, A equals the block formed
-        from its P(t) value for value (the sign of a zero may differ).
-        """
-        phase = cmath.exp(self._iw * t)
-        np.multiply(phase, self._ms, out=self._a_p)
-        np.multiply(phase.conjugate(), self._ms_adj, out=self._a_p_adj)
-
     def bind(self, rho: np.ndarray, out: np.ndarray) -> Callable[[], np.ndarray]:
         """The right-hand side from ``rho`` into ``out``, two C-ordered dim×dim buffers.
 
@@ -267,16 +324,8 @@ class _Lindbladian:
         no argument, reads ``rho`` as it is at the call under the block of the
         latest :meth:`at`, writes dρ/dt into ``out`` and returns ``out``.
         """
-        if not (rho.flags.c_contiguous and out.flags.c_contiguous):
-            raise ValueError("the right-hand side binds C-ordered buffers only")
-        dim = self._e.shape[0]
-        sqrt_n, a, stacked, e, e_rows, e_t = (
-            self._sqrt_n, self._a, self._stacked, self._e, self._e_rows, self._e.T
-        )
+        drive = super().bind(rho, out)
         x, y = rho.reshape(-1), out.reshape(-1)
-        # aρ into T's first half, a†ρ into its second (see __init__)
-        up_out, up_in = self._shifts[0, :-dim], x[dim:]
-        down_out, down_in = self._shifts[1, dim:], x[:-dim]
         # (out slice, weights, in slice, term) per channel slice, in the chunk table's order
         terms = [
             (y[start : start + w.size], w, x[lo : lo + w.size], term)
@@ -285,17 +334,37 @@ class _Lindbladian:
         ]
 
         def rhs() -> np.ndarray:
-            np.multiply(sqrt_n, up_in, out=up_out)
-            np.multiply(sqrt_n, down_in, out=down_out)
-            np.matmul(a, stacked, out=e_rows)
-            # -i[H, ρ] = E + E† for Hermitian H, ρ: one product, not two, and no -i pass
-            np.conjugate(e_t, out=out)
-            np.add(out, e, out=out)
+            drive()
             for ys, w, xs, term in terms:
                 ys += np.multiply(w, xs, out=term)
             return out
 
         return rhs
+
+    def start(self, rho0: np.ndarray) -> np.ndarray:
+        return _hermitian_copy(rho0)
+
+    def trace(self, rho: np.ndarray) -> complex:
+        return np.trace(rho)
+
+    def norms(self, rho: np.ndarray) -> tuple[float, float]:
+        """(Tr ρ, Tr ρ²)."""
+        return float(np.trace(rho).real), float(np.vdot(rho, rho).real)
+
+    def fidelity(self, target: np.ndarray) -> Callable[[np.ndarray], float]:
+        """ρ ↦ ⟨target|ρ_qubit|target⟩."""
+        n, d = self._space.n_qubits, self._space.cavity_dim
+        return lambda rho: float(np.real(np.vdot(target, _reduced_qubit_rho(rho, n, d) @ target)))
+
+    def expect(self, rho: np.ndarray, op: np.ndarray) -> float:
+        # Re Tr(O·ρ) = Re Σ conj(O[i, k])·ρ[i, k], since ρ is Hermitian
+        return float(np.vdot(op, rho).real)
+
+    def least_eigenvalue(self, rho: np.ndarray) -> float:
+        return float(np.linalg.eigvalsh(rho)[0])
+
+    def dense(self, rho: np.ndarray) -> np.ndarray:
+        return rho
 
 
 def _gram_drift(x: np.ndarray) -> float:
@@ -341,23 +410,39 @@ def _hermitian_copy(rho0: np.ndarray) -> np.ndarray:
     return rho
 
 
+# Whole symmetric runs (500 steps, 2 vCPUs) took 0.09–0.80× the dense kernel's time from
+# (N, d) = (3, 4) and (4, 2), dim 32, up to (6, 2), but 1.07× at (3, 3) and 1.18× at (3, 2),
+# where per-call overhead outweighs the work.  At N = 2 the blocks keep 10 of the 16 register
+# pairs: 0.72× at d = 24, 0.99× at d = 8 and 1.28× at d = 4, so N = 2 stays dense.
+_DICKE_MIN_QUBITS = 3
+_DICKE_MIN_DIM = 32
+
+
 def _rk4_stepper(
-    lindbladian: _Lindbladian, s: np.ndarray, delta: float, dt: float, rho0: np.ndarray
+    lindbladian: _Lindbladian | DickeLindbladian,
+    s: np.ndarray,
+    delta: float,
+    dt: float,
+    rho0: np.ndarray,
 ) -> tuple[Callable[[float], np.ndarray], Callable[[float], complex]]:
     """ρ at any t (the one array the step updates) and the RK4 step from t0, which returns Tr ρ.
 
     ``lindbladian`` is built before the state: its weight tables pass
-    through temporaries of several dim².  The start's (ρ + ρ†)/2 is exactly
-    Hermitian, and the step keeps it so bit for bit: E + E† is formed as
+    through temporaries of several dim².  Its ``start`` is exactly Hermitian,
+    and on the dense ρ the step keeps it so bit for bit: E + E† is formed as
     conj(Eᵀ) + E, every dissipator channel is added with symmetric weights in
     the same order at (i, k) and (k, i), and the stages mix with real scalars
     only.  A change to any of these must restore a per-step symmetrisation.
+    On the blocks, the jump product's sums run in BLAS's order, so they stay
+    Hermitian to roundoff only; the generator maps anti-Hermitian parts to
+    anti-Hermitian parts without growth, and the blocks' ``dense`` symmetrises
+    the final ρ once.
     """
     lindbladian.drive(s, delta)
-    rho = _hermitian_copy(rho0)
+    rho = lindbladian.start(rho0)
     # RK4 scratch, reused every step: the weighted stage sum, the latest stage and the stage state
     acc, k, stage = (np.empty_like(rho) for _ in range(3))
-    at = lindbladian.at
+    at, trace = lindbladian.at, lindbladian.trace
     rhs_rho = lindbladian.bind(rho, acc)
     rhs_stage = lindbladian.bind(stage, k)
     half_dt = 0.5 * dt
@@ -379,7 +464,7 @@ def _rk4_stepper(
         acc += k
         acc *= dt / 6.0
         rho += acc
-        return np.trace(rho)
+        return trace(rho)
 
     return lambda t: rho, advance
 
@@ -432,6 +517,32 @@ def _closed_stepper(
     return lab, advance
 
 
+class _FactorReadout:
+    """The record readers of a closed run's lab-frame factor X, with ρ = X·X†."""
+
+    @staticmethod
+    def norms(x: np.ndarray) -> tuple[float, float]:
+        """(Tr ρ, Tr ρ²), read from X†X, which shares them."""
+        gram = x.conj().T @ x
+        return float(np.trace(gram).real), float(np.vdot(gram, gram).real)
+
+    @staticmethod
+    def fidelity(target: np.ndarray) -> Callable[[np.ndarray], float]:
+        def fidelity(x: np.ndarray) -> float:
+            m = x.reshape(target.size, -1)  # ρ_a = M·M† for X as M of shape (2^N, d·r)
+            return float(np.real(np.vdot(target, (m @ m.conj().T) @ target)))
+
+        return fidelity
+
+    @staticmethod
+    def expect(x: np.ndarray, op: np.ndarray) -> float:
+        return float(np.vdot(x, op @ x).real)  # Re Tr(O·ρ) = Re⟨X, O·X⟩
+
+    @staticmethod
+    def dense(x: np.ndarray) -> np.ndarray:
+        return _hermitian_copy(x @ x.conj().T)
+
+
 def evolve_lindblad(
     h_of_t: HamiltonianProvider,
     rates: DecoherenceRates,
@@ -471,9 +582,16 @@ def evolve_lindblad(
         Optional named Hermitian operators on the joint space; their real
         expectation values Re Tr(Oρ) are recorded alongside the fidelity.
 
-    With any rate, a step is RK4 on ρ (:func:`_rk4_stepper`), and every 10th
-    record stores the minimum eigenvalue of ρ in ``positivity_checks``.  With
-    no rates, a step is exact on a factor of ρ = X·X† (:func:`_closed_stepper`):
+    With any rate, a step is RK4 (:func:`_rk4_stepper`), and every 10th
+    record stores the minimum eigenvalue of ρ in ``positivity_checks``.  RK4
+    steps the Dicke blocks (:mod:`geomgate.dicke`) when P(0) and
+    ``initial.rho`` are exactly unchanged by every qubit permutation, no
+    ``observables`` are given, N ≥ 3 and dim ≥ 32; each block ρ_j holds the
+    (2j+1)·d rows of one copy of spin j, the minimum eigenvalue is the least
+    over the blocks, and ``final_rho`` is the dense ρ, formed once and made
+    exactly Hermitian.  Otherwise it steps the dense ρ, kept exactly
+    Hermitian.  Both run the same step plan and agree to roundoff.  With no
+    rates, a step is exact on a factor of ρ = X·X† (:func:`_closed_stepper`):
     no dim×dim ρ is held while it steps, ρ is positive by construction, so no
     eigenvalue is taken, and ``final_rho`` is (X·X† + (X·X†)†)/2, formed once.
 
@@ -522,9 +640,18 @@ def evolve_lindblad(
 
     closed = not rates.any_active
     if closed:
+        readout = _FactorReadout()
         lab, advance = _closed_stepper(s, delta, space.cavity_dim, dt, initial.rho)
     else:
-        lab, advance = _rk4_stepper(_Lindbladian(space, rates), s, delta, dt, initial.rho)
+        generator: type[_Lindbladian | DickeLindbladian] = _Lindbladian
+        if not obs_items and space.n_qubits >= _DICKE_MIN_QUBITS and dim >= _DICKE_MIN_DIM:
+            from . import dicke  # compiled only by the runs that may take the blocks
+
+            if dicke.permutation_invariant(space.n_qubits, space.cavity_dim, s, initial.rho):
+                generator = dicke.DickeLindbladian
+        readout = generator(space, rates)
+        lab, advance = _rk4_stepper(readout, s, delta, dt, initial.rho)
+    fidelity = readout.fidelity(target) if target is not None else None
     times: list[float] = []
     fids: list[float] = []
     traces: list[float] = []
@@ -534,26 +661,15 @@ def evolve_lindblad(
 
     def record(t: float) -> None:
         a = lab(t)
-        # ρ and X†X share their trace and Tr(·²); a closed run's a is X, with ρ = X·X†
-        gram = a.conj().T @ a if closed else a
+        trace, purity = readout.norms(a)
         times.append(t)
-        traces.append(float(np.trace(gram).real))
-        purities.append(float(np.vdot(gram, gram).real))
-        if target is not None:
-            if closed:
-                m = a.reshape(q, -1)  # ρ_a = M·M† for X as M of shape (2^N, d·r)
-                reduced = m @ m.conj().T
-            else:
-                reduced = _reduced_qubit_rho(a, space.n_qubits, space.cavity_dim)
-            fids.append(float(np.real(np.vdot(target, reduced @ target))))
-        else:
-            fids.append(math.nan)
+        traces.append(trace)
+        purities.append(purity)
+        fids.append(fidelity(a) if fidelity is not None else math.nan)
         for name, op in obs_items:
-            # Re Tr(O·ρ): Re⟨X, O·X⟩, or Re Σ conj(O[i, k])·ρ[i, k] since ρ is Hermitian
-            value = np.vdot(a, op @ a) if closed else np.vdot(op, a)
-            obs_records[name].append(float(value.real))
+            obs_records[name].append(readout.expect(a, op))
         if not closed and (len(times) - 1) % 10 == 0:
-            positivity.append((t, float(np.linalg.eigvalsh(a)[0])))
+            positivity.append((t, readout.least_eigenvalue(a)))
 
     record(0.0)
     for step in range(1, n_steps + 1):
@@ -570,14 +686,13 @@ def evolve_lindblad(
         if step % stride == 0 or step == n_steps:
             record(step * dt)
 
-    a = lab(t_end)
     return EvolutionResult(
         times=np.asarray(times),
         fidelities=np.asarray(fids),
         traces=np.asarray(traces),
         purities=np.asarray(purities),
         observables={name: np.asarray(vals) for name, vals in obs_records.items()} or None,
-        final_rho=_hermitian_copy(a @ a.conj().T) if closed else a,
+        final_rho=readout.dense(lab(t_end)),
         positivity_checks=positivity,
     )
 

@@ -6,6 +6,7 @@ against.  Test modules import these from here and never from one another.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -37,6 +38,26 @@ def _displaced_vacuum(d: int, alpha: complex) -> np.ndarray:
     """Test helper: D(α)|0⟩ = exp(αa† − α*a)|0⟩ on a d-level cavity, via matexp."""
     a = annihilation(d)
     return matexp(alpha * a.conj().T - np.conj(alpha) * a) @ fock_state(d, 0)
+
+
+def _qubit_twirl(op, n):
+    """Test oracle: the average of U_π·op·U_π† over all n! permutations π of the qubits.
+
+    ``op`` is a register (2^n square) or joint (2^n·d square) matrix; U_π moves
+    the bit of qubit j to the place of qubit π(j), by index arithmetic alone.
+    The result is the projection of ``op`` onto the matrices every qubit
+    permutation leaves unchanged.
+    """
+    q = 2**n
+    k = op.shape[0] // q
+    bits = (np.arange(q)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    total = np.zeros_like(op)
+    perms = list(itertools.permutations(range(n)))
+    for perm in perms:
+        moved = bits[:, perm] @ (1 << np.arange(n - 1, -1, -1))
+        idx = (moved[:, None] * k + np.arange(k)).ravel()
+        total += op[np.ix_(idx, idx)]
+    return total / len(perms)
 
 
 def _dense_h(p, d):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from geomgate import dynamics
+from geomgate import dicke, dynamics
 from geomgate.core import (
     CAVITY,
     SIGMA_MINUS,
@@ -18,6 +18,7 @@ from geomgate.core import (
     ground_state,
     matexp,
 )
+from geomgate.dicke import DickeLindbladian
 from geomgate.dynamics import (
     DecoherenceRates,
     EvolutionResult,
@@ -50,6 +51,7 @@ from oracles import (
     _gate_target,
     _h2_literal,
     _propagator_gate_distance,
+    _qubit_twirl,
     _random_density,
     _rotating_frame_fidelities,
     _with_frame,
@@ -631,6 +633,21 @@ class TestRotatingFrameOracle:
         assert abs(point["f_max"] - exact.max()) < 5e-7
         assert np.abs(result.fidelities - exact).max() < 2e-6
 
+    def test_ghz_sweep_point_with_phases_every_record(self, tmp_path):
+        # the dense twin of the point above: unequal phases keep the run off the Dicke blocks.
+        # Measured: 4.37e-7 at f_max and 7.1e-7 at the worst record (4.5e-8 at dt/2)
+        phis = (0.0, 0.3, 0.6, 0.9)
+        spec = ScenarioSpec(
+            kind="ghz-sweep", cavity_dim=8, phis=phis, output_path=str(tmp_path / "g.csv")
+        )
+        point = run_ghz_sweep(spec, m_values=(1.0,))["points"][0]
+        result = point["result"]
+        exact = _rotating_frame_fidelities(
+            (1.0,) * 4, phis, 4.0, (1e-3,) * 3, 8, _gate_target(4), result.times
+        )
+        assert abs(point["f_max"] - exact.max()) < 1e-6
+        assert np.abs(result.fidelities - exact).max() < 2e-6
+
     def test_seeded_three_qubit_run_every_record(self):
         # unequal η_j and random φ_j over two loops at κ = γ₁ = γ₂ = 0.05: no earlier
         # measurement, so the bound is the N=4 sweep's, whose Σ_j η_j is larger
@@ -871,11 +888,11 @@ class TestWorkingSet:
     a record's eigvalsh takes: 14.1 at N=4, d=8 and 13.4 at N=2, d=16.
     """
 
-    @pytest.mark.parametrize("n_qubits,cavity_dim", [(4, 8), (2, 16)])
-    def test_tracemalloc_peak(self, n_qubits, cavity_dim):
+    @staticmethod
+    def _peak_arrays(n_qubits, cavity_dim, phis):
+        """The tracemalloc peak of a short open run from |0…0, 0⟩, in dim×dim complex arrays."""
         space = HilbertSpace(n_qubits, cavity_dim)
-        drive = DriveParams(etas=np.ones(n_qubits), phis=np.zeros(n_qubits), delta=4.0)
-        provider = hamiltonian_h2_provider(drive, space)
+        provider = hamiltonian_h2_provider(DriveParams(np.ones(n_qubits), phis, 4.0), space)
         initial = QuantumState.from_pure(space, ground_state(space))
         tau = loop_time(4.0)
         cfg = IntegratorConfig(dt=tau / 200, t_end=tau / 20)
@@ -886,7 +903,30 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 15 * space.dim**2 * np.dtype(complex).itemsize
+        return peak / (space.dim**2 * np.dtype(complex).itemsize)
+
+    @pytest.mark.parametrize("n_qubits,cavity_dim", [(4, 8), (2, 16)])
+    def test_tracemalloc_peak(self, n_qubits, cavity_dim):
+        assert self._peak_arrays(n_qubits, cavity_dim, np.zeros(n_qubits)) <= 15
+
+    def test_tracemalloc_peak_with_phases(self):
+        # the dense twin of [4-8]: unequal phases keep the run off the Dicke blocks
+        assert self._peak_arrays(4, 8, (0.0, 0.3, 0.6, 0.9)) <= 15
+
+    @pytest.mark.parametrize("cavity_dim", [8, 24])
+    def test_tracemalloc_peak_on_blocks(self, cavity_dim):
+        """A symmetric N=4 run peaks at 6 dim×dim complex arrays, not 15.
+
+        It holds the blocks' buffers, each P·d² = 35·d² entries, 35/256 of a dim²:
+        ρ, three RK4 scratch arrays, one term scratch, and per block T (two), E
+        and √n, and the elementwise and cavity weights, about 1.5 dim² in all.
+        The peak is where :meth:`~geomgate.dicke.DickeLindbladian.dense` forms
+        the final ρ: ρ (one), one block's product (one), its (2^N·deg_j, 2j+1,
+        d²) half-product and a reordered copy (9/16 each at j = 1), then ρ's
+        conjugate (one).  Measured: 4.98 at d=8, 4.79 at d=24; stepping a
+        dense ρ would take about 14.
+        """
+        assert self._peak_arrays(4, cavity_dim, np.zeros(4)) <= 6
 
     def test_tracemalloc_peak_without_rates(self):
         # a closed run at dim 256 peaks in matexp's build, at 5 dim×dim arrays: −i·dt·H̃, its
@@ -905,6 +945,154 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * space.dim**2 * np.dtype(complex).itemsize
+
+
+def _spy_generators(monkeypatch):
+    """The list that names each generator evolve_lindblad builds: "dense" or "blocks"."""
+    built = []
+
+    class Dense(_Lindbladian):
+        def __init__(self, *args):
+            built.append("dense")
+            super().__init__(*args)
+
+    class Blocks(DickeLindbladian):
+        def __init__(self, *args):
+            built.append("blocks")
+            super().__init__(*args)
+
+    monkeypatch.setattr(dynamics, "_Lindbladian", Dense)
+    monkeypatch.setattr(dicke, "DickeLindbladian", Blocks)
+    return built
+
+
+class TestDickeBlocks:
+    """The blocks of a permutation-invariant ρ, judged by the dense generator on seeded states.
+
+    Each state is a random full-rank ρ averaged over every qubit permutation
+    (:func:`_qubit_twirl`), driven by an averaged random register matrix, with
+    κ, γ₁ and γ₂ nonzero and unequal.  Bounds are relative to the largest
+    entry: roundoff, about 1e-15, against 1e-13.
+    """
+
+    CASES = [(3, 3), (4, 8), (5, 4)]
+    RATES = DecoherenceRates(kappa=0.3, gamma1=0.2, gamma2=0.1)
+
+    def _state(self, n_qubits, cavity_dim):
+        rng = np.random.default_rng(40 + n_qubits)
+        q = 2**n_qubits
+        rho = _qubit_twirl(_random_density(q * cavity_dim, rng), n_qubits)
+        s = _qubit_twirl(rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q)), n_qubits)
+        return HilbertSpace(n_qubits, cavity_dim), rho, s, rng
+
+    @pytest.mark.parametrize("n_qubits,cavity_dim", CASES)
+    def test_right_hand_side_equals_dense(self, n_qubits, cavity_dim):
+        space, rho, s, _ = self._state(n_qubits, cavity_dim)
+        dense, blocks = _Lindbladian(space, self.RATES), DickeLindbladian(space, self.RATES)
+        for generator in (dense, blocks):
+            generator.drive(s, 4.0)
+            generator.at(0.37)
+        want = dense.bind(rho, np.empty_like(rho))()
+        scale = float(np.abs(want).max())
+        # the premise: the dense right-hand side of an invariant ρ is invariant too
+        assert np.abs(_qubit_twirl(want, n_qubits) - want).max() <= 1e-13 * scale
+        x = blocks.start(rho)
+        assert np.abs(blocks.dense(x) - rho).max() <= 1e-13 * float(np.abs(rho).max())
+        got = blocks.dense(blocks.bind(x, np.empty_like(x))())
+        assert np.abs(got - want).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n_qubits,cavity_dim", CASES)
+    def test_readings_equal_dense(self, n_qubits, cavity_dim):
+        space, rho, _, rng = self._state(n_qubits, cavity_dim)
+        dense, blocks = _Lindbladian(space, self.RATES), DickeLindbladian(space, self.RATES)
+        x = blocks.start(rho)
+        target = rng.normal(size=space.qubit_dim) + 1j * rng.normal(size=space.qubit_dim)
+        target /= np.linalg.norm(target)  # not symmetric: any target reads right
+        np.testing.assert_allclose(blocks.norms(x), dense.norms(rho), rtol=0, atol=1e-14)
+        assert abs(blocks.trace(x) - 1.0) <= 1e-14
+        assert abs(blocks.fidelity(target)(x) - dense.fidelity(target)(rho)) <= 1e-14
+        assert abs(blocks.least_eigenvalue(x) - dense.least_eigenvalue(rho)) <= 1e-14
+
+    def test_ghz_sweep_point_matches_dense_kernel(self, tmp_path, monkeypatch):
+        # the runner's block run against the dense kernel stepped directly over the same plan
+        built = _spy_generators(monkeypatch)
+        path = tmp_path / "g.csv"
+        spec = ScenarioSpec(kind="ghz-sweep", cavity_dim=8, output_path=str(path))
+        result = run_ghz_sweep(spec, m_values=(1.0,))["points"][0]["result"]
+        assert built == ["blocks"]
+        lines = path.read_text().splitlines()
+        header = dict(line[2:].strip().split("=", 1) for line in lines if line[:2] == "# ")
+        dt, n_steps = float(header["dt"]), int(header["n_steps"])
+        stride = int(header["record_stride"])
+        space = HilbertSpace(4, 8)
+        s = hamiltonian_h2_provider(DriveParams((1.0,) * 4, (0.0,) * 4, 4.0), space)(0.0)
+        rho0 = QuantumState.from_pure(space, ground_state(space)).rho
+        lab, advance = dynamics._rk4_stepper(
+            _Lindbladian(space, DecoherenceRates(1e-3, 1e-3, 1e-3)), s, 4.0, dt, rho0
+        )
+        target = ghz_target(4)
+        want, eigs = [], []
+        for step in range(n_steps + 1):
+            if step:
+                advance((step - 1) * dt)
+            if step % stride == 0 or step == n_steps:
+                rho = lab(step * dt)
+                fid = np.vdot(target, _reduced_qubit_rho(rho, 4, 8) @ target).real
+                want.append((fid, np.trace(rho).real, np.vdot(rho, rho).real))
+                if (len(want) - 1) % 10 == 0:
+                    eigs.append(np.linalg.eigvalsh(rho)[0])
+        got = np.column_stack((result.fidelities, result.traces, result.purities))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        got_eigs = [e for _, e in result.positivity_checks]
+        np.testing.assert_allclose(got_eigs, eigs, rtol=0, atol=1e-12)
+
+
+class TestDickeRouting:
+    """evolve_lindblad steps the blocks only when P(0) and ρ₀ are unchanged by every qubit
+    permutation, a rate is set, no observable is recorded, N ≥ 3 and dim ≥ 32."""
+
+    @pytest.mark.parametrize(
+        "n_qubits,cavity_dim,etas,phis,excited,observed,rates,expected",
+        [
+            (4, 8, None, None, False, False, (0.1, 0.01, 0.01), ["blocks"]),
+            (4, 8, None, (0.4,) * 4, False, False, (0.1, 0.01, 0.01), ["blocks"]),
+            (3, 4, None, None, False, False, (0.0, 0.0, 0.01), ["blocks"]),
+            (4, 8, None, (0.0, 0.3, 0.6, 0.9), False, False, (0.1, 0.01, 0.01), ["dense"]),
+            (4, 8, (1.0, 1.0, 1.0, 0.9), None, False, False, (0.1, 0.01, 0.01), ["dense"]),
+            (4, 8, None, None, True, False, (0.1, 0.01, 0.01), ["dense"]),
+            (4, 8, None, None, False, True, (0.1, 0.01, 0.01), ["dense"]),
+            (2, 16, None, None, False, False, (0.1, 0.01, 0.01), ["dense"]),
+            (3, 2, None, None, False, False, (0.1, 0.01, 0.01), ["dense"]),
+            (4, 8, None, None, False, False, (0.0, 0.0, 0.0), []),
+        ],
+        ids=[
+            "symmetric", "common-phase", "dephasing-only", "unequal-phases", "unequal-etas",
+            "start-0001", "observables", "two-qubits", "dim-16", "no-rates",
+        ],
+    )
+    def test_route(
+        self, monkeypatch, n_qubits, cavity_dim, etas, phis, excited, observed, rates, expected
+    ):
+        built = _spy_generators(monkeypatch)
+        space = HilbertSpace(n_qubits, cavity_dim)
+        drive = DriveParams(
+            etas or (1.0,) * n_qubits, phis or (0.0,) * n_qubits, 4.0
+        )
+        psi = ground_state(space)
+        if excited:  # |0…01⟩|0⟩: qubit N excited, so not every permutation keeps it
+            psi = np.roll(psi, cavity_dim)
+        n_op = embed(np.diag(np.arange(cavity_dim, dtype=complex)), CAVITY, space)
+        tau = loop_time(4.0)
+        result = evolve_lindblad(
+            hamiltonian_h2_provider(drive, space),
+            DecoherenceRates(*rates),
+            QuantumState.from_pure(space, psi),
+            ghz_target(n_qubits),
+            IntegratorConfig(dt=tau / 200, t_end=tau / 20),
+            observables={"n": n_op} if observed else None,
+        )
+        assert built == expected
+        assert np.array_equal(result.final_rho, result.final_rho.conj().T)
 
 
 class TestEvolveUnitary:
